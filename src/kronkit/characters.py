@@ -154,7 +154,7 @@ def _row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
 def character_row(lam: Iterable[int]) -> tuple[int, ...]:
     """chi^lam over cycle_types(|lam|), in that order."""
     lam = Partition(lam)
-    return _row(tuple(lam), lam.size)
+    return _row(lam, sum(lam))
 
 
 @dataclass(frozen=True)

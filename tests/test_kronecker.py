@@ -2,6 +2,7 @@ import json
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kronkit import (
     Partition,
@@ -15,6 +16,20 @@ from kronkit import (
     kron_expand,
 )
 from kronkit.partitions import partitions_of
+
+
+@st.composite
+def triples_st(draw, min_m=9, max_m=13):
+    """Three partitions of one m, beyond the exhaustive sweeps' m <= 8.
+
+    Half the draws come from partitions of at most 4 rows, where the
+    rectangle frames and the two-row formula apply.
+    """
+    m = draw(st.integers(min_m, max_m))
+    parts = st.sampled_from(list(partitions_of(m, max_length=4))) | st.sampled_from(
+        list(partitions_of(m))
+    )
+    return (draw(parts), draw(parts), draw(parts))
 
 
 class TestDirect:
@@ -158,3 +173,11 @@ class TestDispatcher:
                     for nu in parts:
                         fast, _ = kron_coeff(lam, mu, nu)
                         assert fast == kron_coeff_direct(lam, mu, nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples_st())
+    def test_agrees_with_direct_beyond_sweeps(self, triple):
+        want = kron_coeff_direct(*triple)
+        assert kron_coeff(*triple)[0] == want
+        for perm in permutations(triple):
+            assert kron_coeff(*perm)[0] == want

@@ -11,6 +11,7 @@ from kronkit import (
     conjugate,
     format_partition,
     intersect,
+    kron_coeff,
     parse_partition,
     partitions_of,
     skew,
@@ -46,6 +47,23 @@ class TestPartitionType:
     def test_rejects_non_integer(self):
         with pytest.raises(PartitionError):
             Partition((2.0, 1.0))
+
+    def test_rejects_bool(self):
+        with pytest.raises(PartitionError):
+            Partition((True,))
+        with pytest.raises(PartitionError):
+            Partition((2, False))
+        with pytest.raises(PartitionError):
+            kron_coeff((True,), (1,), (1,))
+
+    def test_partition_input_returned_as_is(self):
+        lam = Partition((3, 2, 1))
+        assert Partition(lam) is lam
+        for raw in ((3, 2, 1, 0), [3, 2, 1]):
+            got = Partition(raw)
+            assert type(got) is Partition and got == lam and got is not raw
+        with pytest.raises(PartitionError):
+            Partition([1, 3])
 
     def test_size_length_part(self):
         lam = Partition((4, 2, 1))
@@ -228,3 +246,7 @@ class TestComposition:
     def test_rejects_zero_part(self):
         with pytest.raises(PartitionError):
             Composition((2, 0, 1))
+
+    def test_rejects_bool(self):
+        with pytest.raises(PartitionError):
+            Composition((2, True))
