@@ -59,11 +59,9 @@ from .reductions import (
     ceil_half,
     dvir_reduce,
     four_two_two_formula,
-    four_two_two_reduce,
     rectangle_reduce,
     stability_inflate,
     two_row_formula,
-    vanishing_lr,
 )
 from .kronecker import (
     KroneckerExpansion,

@@ -9,7 +9,6 @@ Python integers, so nothing ever overflows or rounds.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,22 +37,6 @@ __all__ = [
 
 # A cycle type is just a partition of n recording cycle lengths.
 CycleType = Partition
-
-
-def _cache_entries() -> int | None:
-    """Entry budget for the big memo caches, from KRONKIT_CACHE_BYTES.
-
-    The bound is approximate: entries are costed at 512 bytes each.  Unset
-    or unparseable means unbounded.
-    """
-    raw = os.environ.get("KRONKIT_CACHE_BYTES")
-    if raw is None:
-        return None
-    try:
-        nbytes = int(raw)
-    except ValueError:
-        return None
-    return max(64, nbytes // 512)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +87,7 @@ def _border_strips(lam: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], 
     return out
 
 
-@lru_cache(maxsize=_cache_entries())
+@lru_cache(maxsize=None)
 def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     # Cycle parts are consumed largest-first (rho is sorted decreasing),
     # which keeps the (shape, remaining type) key space small.
@@ -146,7 +129,7 @@ def cycle_sign(rho: Iterable[int]) -> int:
     return -1 if (rho.size - rho.length) % 2 else 1
 
 
-@lru_cache(maxsize=_cache_entries())
+@lru_cache(maxsize=None)
 def _row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(_mn(lam, tuple(rho)) for rho in cycle_types(n))
 

@@ -34,11 +34,9 @@ __all__ = [
     "ceil_half",
     "stability_inflate",
     "rectangle_reduce",
-    "vanishing_lr",
     "dvir_reduce",
     "two_row_formula",
     "four_two_two_formula",
-    "four_two_two_reduce",
 ]
 
 Triple = tuple[Partition, Partition, Partition]
@@ -176,6 +174,9 @@ def rectangle_reduce(lam, mu, nu) -> Zero | Reduced | None:
     Only the first assignment needs testing: p = q*r >= max(q, r) puts a
     longest partition in the long role, every longest one leaves the same
     product q*r for the other two, and swapping q and r keeps the product.
+
+    When the lengths satisfy p = q*r in argument order, a Zero verdict also
+    means the shared-content pair count lr(lam, mu; nu) is zero.
     """
     triple = coerce_same_size(lam, mu, nu)
     lengths = [len(part) for part in triple]
@@ -198,21 +199,6 @@ def rectangle_reduce(lam, mu, nu) -> Zero | Reduced | None:
         subtract_rectangle(rpart, Rectangle(q * t, r)),
     )
     return Reduced(reduced, frame)
-
-
-def vanishing_lr(lam, mu, nu) -> bool:
-    """Whether the shared-content pair count lr(lam, mu; nu) provably vanishes.
-
-    Requires the exact lengths (p, q, r) to satisfy p = q*r; raises
-    ShapeError otherwise since the test says nothing in that case.  When
-    this returns True the Kronecker coefficient is zero as well.
-    """
-    lam, mu, nu = coerce_same_size(lam, mu, nu)
-    p, q, r = lam.length, mu.length, nu.length
-    if p == 0 or p != q * r:
-        raise ShapeError(f"lengths ({p},{q},{r}) do not satisfy p = q*r")
-    t = lam[p - 1]
-    return mu[q - 1] < r * t or nu[r - 1] < q * t
 
 
 def dvir_reduce(lam, mu, nu) -> int | None:
@@ -289,22 +275,3 @@ def four_two_two_formula(lam, mu, nu) -> tuple[int, dict]:
         case = 2
         value = z - x if z >= x else 0
     return value, {"x": x, "y": y, "z": z, "case": case, "ordered": (lam, mu, nu)}
-
-
-def four_two_two_reduce(lam, mu, nu) -> Zero | Reduced:
-    """Rectangle peel specialized to exact lengths (4, 2, 2), t = lam's last part."""
-    lam, mu, nu = coerce_same_size(lam, mu, nu)
-    if (lam.length, mu.length, nu.length) != (4, 2, 2):
-        raise ShapeError(
-            f"lengths must be exactly (4, 2, 2), got {(lam.length, mu.length, nu.length)}"
-        )
-    t = lam[3]
-    frame = RectangleFrame(4, 2, 2, t)
-    if mu[1] < 2 * t or nu[1] < 2 * t:
-        return Zero(frame)
-    reduced = (
-        Partition((lam[0] - t, lam[1] - t, lam[2] - t)),
-        Partition((mu[0] - 2 * t, mu[1] - 2 * t)),
-        Partition((nu[0] - 2 * t, nu[1] - 2 * t)),
-    )
-    return Reduced(reduced, frame)

@@ -1,30 +1,27 @@
 """Exhaustive verification sweeps over bounded triple spaces.
 
-Each sweep recomputes a reduction-layer claim against the direct
-character-sum oracle and collects counterexamples instead of raising, so
-the CLI can report them.  Sweeps shard deterministically across worker
-processes when jobs > 1; aggregation order never depends on timing.
+Each suite checks reduction-layer claims against the class-sum oracle on
+its work units (triples of partitions, or pairs for dvir and lr) and
+collects counterexamples.  Unit k goes to shard k mod jobs, and each
+property keeps the failures of smallest unit index, whatever the jobs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from functools import partial
+from itertools import chain, product
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
+from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import kron_coeff, kron_coeff_direct, kron_expand
 from .lr import kostka, lr_pair_count
-from .partitions import Partition, conjugate, format_partition, intersect, partitions_of
-from .reductions import (
-    RectangleFrame,
-    Zero,
-    dvir_reduce,
-    four_two_two_formula,
-    four_two_two_reduce,
-    rectangle_reduce,
-    stability_inflate,
-    two_row_formula,
-)
+from .partitions import Partition, conjugate, format_partition, intersect
+from .reductions import RectangleFrame, Zero, dvir_reduce, four_two_two_formula, rectangle_reduce
+from .reductions import stability_inflate, two_row_formula
 
 __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
 
@@ -42,266 +39,142 @@ class SweepResult:
         return not self.failures
 
 
-def _fmt(p: Partition) -> str:
-    return "[" + format_partition(p) + "]"
-
-
-def _fmt_triple(triple) -> str:
-    return " ".join(_fmt(p) for p in triple)
+def _fmt(*parts: Partition) -> str:
+    return " ".join("[" + format_partition(p) + "]" for p in parts)
 
 
 # Frames (p, q, r) with p = q*r <= 6, the sweep space for stability checks.
 _FRAMES = tuple((q * r, q, r) for q in range(1, 7) for r in range(1, 7) if q * r <= 6)
 
 
-def _stability_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    checked, failures = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        parts = list(partitions_of(m))
-        for lam, mu, nu in product(parts, repeat=3):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            base = None
-            for p, q, r in _FRAMES:
-                if lam.length > p or mu.length > q or nu.length > r:
-                    continue
-                for t in (1, 2):
-                    frame = RectangleFrame(p, q, r, t)
-                    big = stability_inflate(lam, mu, nu, frame)
-                    if base is None:
-                        base = kron_coeff_direct(lam, mu, nu)
-                    got = kron_coeff_direct(*big)
-                    checked += 1
-                    if got != base and len(failures) < MAX_COUNTEREXAMPLES:
-                        failures.append(
-                            f"stability: {_fmt_triple((lam, mu, nu))} frame "
-                            f"(p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
-                        )
-    return [("stability", checked, failures)]
+def _oracle(name: str, triple, got: int, label: str = "gave"):
+    """(name, counterexample or False) for got against the oracle's value."""
+    direct = kron_coeff_direct(*triple)
+    return name, got != direct and f"{_fmt(*triple)} {label} {got}, direct {direct}"
 
 
-def _reduction_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    zero_checked, zero_fail = 0, []
-    red_checked, red_fail = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        parts = list(partitions_of(m))
-        for lam, mu, nu in product(parts, repeat=3):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            decision = rectangle_reduce(lam, mu, nu)
-            if decision is None:
-                continue
-            direct = kron_coeff_direct(lam, mu, nu)
-            if isinstance(decision, Zero):
-                zero_checked += 1
-                if direct != 0 and len(zero_fail) < MAX_COUNTEREXAMPLES:
-                    zero_fail.append(
-                        f"reduction-zero: {_fmt_triple((lam, mu, nu))} claimed 0, direct {direct}"
-                    )
-            else:
-                red_checked += 1
-                got = kron_coeff_direct(*decision.triple)
-                if got != direct and len(red_fail) < MAX_COUNTEREXAMPLES:
-                    red_fail.append(
-                        f"reduction-preserve: {_fmt_triple((lam, mu, nu))} -> "
-                        f"{_fmt_triple(decision.triple)} gave {got}, direct {direct}"
-                    )
-    return [
-        ("reduction-zero", zero_checked, zero_fail),
-        ("reduction-preserve", red_checked, red_fail),
-    ]
+def _check_stability(triple):
+    lam, mu, nu = triple
+    fits = [(p, q, r) for p, q, r in _FRAMES if len(lam) <= p and len(mu) <= q and len(nu) <= r]
+    base = kron_coeff_direct(*triple) if fits else None
+    for (p, q, r), t in product(fits, (1, 2)):
+        got = kron_coeff_direct(*stability_inflate(*triple, RectangleFrame(p, q, r, t)))
+        yield "stability", got != base and (
+            f"{_fmt(*triple)} frame (p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
+        )
 
 
-def _formulas_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    two_checked, two_fail = 0, []
-    four_checked, four_fail = 0, []
-    cons_checked, cons_fail = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        short = [p for p in partitions_of(m, max_length=2)]
-        for lam, mu, nu in product(short, repeat=3):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            value, _ = two_row_formula(lam, mu, nu)
-            direct = kron_coeff_direct(lam, mu, nu)
-            two_checked += 1
-            if value != direct and len(two_fail) < MAX_COUNTEREXAMPLES:
-                two_fail.append(
-                    f"formula-2row: {_fmt_triple((lam, mu, nu))} gave {value}, direct {direct}"
-                )
-        tall = [
-            p
-            for p in partitions_of(m, max_length=4)
-            if p.part(2) == p.part(3)
-        ]
-        for lam in tall:
-            for mu, nu in product(short, repeat=2):
-                idx += 1
-                if idx % nshards != shard:
-                    continue
-                if 2 * lam.part(2) > min(mu.part(1), nu.part(1)):
-                    continue
-                value, _ = four_two_two_formula(lam, mu, nu)
-                direct = kron_coeff_direct(lam, mu, nu)
-                four_checked += 1
-                if value != direct and len(four_fail) < MAX_COUNTEREXAMPLES:
-                    four_fail.append(
-                        f"formula-422: {_fmt_triple((lam, mu, nu))} gave {value}, direct {direct}"
-                    )
-                if (lam.length, mu.length, nu.length) == (4, 2, 2):
-                    cons_checked += 1
-                    decision = four_two_two_reduce(lam, mu, nu)
-                    if isinstance(decision, Zero):
-                        other = 0
-                    else:
-                        other, _ = two_row_formula(*decision.triple)
-                    if other != value and len(cons_fail) < MAX_COUNTEREXAMPLES:
-                        cons_fail.append(
-                            f"formula-consistency: {_fmt_triple((lam, mu, nu))} "
-                            f"formula {value}, reduce-then-2row {other}"
-                        )
-    return [
-        ("formula-2row", two_checked, two_fail),
-        ("formula-422", four_checked, four_fail),
-        ("formula-consistency", cons_checked, cons_fail),
-    ]
+def _check_reduction(triple):
+    decision = rectangle_reduce(*triple)
+    if isinstance(decision, Zero):
+        yield _oracle("reduction-zero", triple, 0, "claimed")
+    elif decision is not None:
+        got, direct = kron_coeff_direct(*decision.triple), kron_coeff_direct(*triple)
+        yield "reduction-preserve", got != direct and (
+            f"{_fmt(*triple)} -> {_fmt(*decision.triple)} gave {got}, direct {direct}"
+        )
 
 
-def _dvir_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    checked, failures = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        parts = list(partitions_of(m))
-        for lam, mu in product(parts, repeat=2):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            rows = intersect(lam, conjugate(mu)).size
-            for nu in parts:
-                if nu.length != rows:
-                    continue
-                got = dvir_reduce(lam, mu, nu)
-                direct = kron_coeff_direct(lam, mu, nu)
-                checked += 1
-                if got != direct and len(failures) < MAX_COUNTEREXAMPLES:
-                    failures.append(
-                        f"dvir: {_fmt_triple((lam, mu, nu))} gave {got}, direct {direct}"
-                    )
-    return [("dvir", checked, failures)]
+def _formula_units(parts):
+    """Two-row triples, then (<=4, <=2, <=2) ones with lam3 = lam4, tagged True."""
+    short = [p for p in parts if p.length <= 2]
+    tall = [p for p in parts if p.length <= 4 and p.part(2) == p.part(3)]
+    yield from ((t, False) for t in product(short, repeat=3))
+    yield from (((lam, *pair), True) for lam in tall for pair in product(short, repeat=2))
 
 
-def _lr_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    ident_checked, ident_fail = 0, []
-    bound_checked, bound_fail = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        parts = list(partitions_of(m))
-        for lam, mu in product(parts, repeat=2):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            expansion = kron_expand(lam, mu)
-            for pi in parts:
-                lrp = lr_pair_count(lam, mu, pi)
-                want = sum(kostka(nu, pi) * expansion[nu] for nu in parts)
-                ident_checked += 1
-                if lrp != want and len(ident_fail) < MAX_COUNTEREXAMPLES:
-                    ident_fail.append(
-                        f"lr-pair-identity: lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, "
-                        f"Kostka-weighted sum {want}"
-                    )
-                bound_checked += 1
-                if lrp < expansion[pi] and len(bound_fail) < MAX_COUNTEREXAMPLES:
-                    bound_fail.append(
-                        f"lr-dominates-kron: lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} "
-                        f"< k = {expansion[pi]}"
-                    )
-    return [
-        ("lr-pair-identity", ident_checked, ident_fail),
-        ("lr-dominates-kron", bound_checked, bound_fail),
-    ]
+def _check_formulas(unit):
+    triple, tall = unit
+    lam, mu, nu = triple
+    if not tall:
+        yield _oracle("formula-2row", triple, two_row_formula(*triple)[0])
+    elif 2 * lam.part(2) <= min(mu.part(1), nu.part(1)):
+        value = four_two_two_formula(*triple)[0]
+        yield _oracle("formula-422", triple, value)
+        if (lam.length, mu.length, nu.length) == (4, 2, 2):
+            decision = rectangle_reduce(*triple)
+            other = 0 if isinstance(decision, Zero) else two_row_formula(*decision.triple)[0]
+            yield "formula-consistency", other != value and (
+                f"{_fmt(*triple)} formula {value}, reduce-then-2row {other}"
+            )
 
 
-def _dispatch_shard(args) -> list[tuple[str, int, list[str]]]:
-    max_m, shard, nshards = args
-    checked, failures = 0, []
-    idx = 0
-    for m in range(max_m + 1):
-        parts = list(partitions_of(m))
-        for lam, mu, nu in product(parts, repeat=3):
-            idx += 1
-            if idx % nshards != shard:
-                continue
-            fast, _ = kron_coeff(lam, mu, nu)
-            direct = kron_coeff_direct(lam, mu, nu)
-            checked += 1
-            if fast != direct and len(failures) < MAX_COUNTEREXAMPLES:
-                failures.append(
-                    f"dispatch: {_fmt_triple((lam, mu, nu))} fast {fast}, direct {direct}"
-                )
-    return [("dispatch", checked, failures)]
+def _check_dvir(pair):
+    lam, mu = pair
+    rows = intersect(lam, conjugate(mu)).size
+    for nu in _parts(lam.size):
+        if nu.length == rows:
+            yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu))
 
 
-def _run(worker, max_m: int, jobs: int) -> list[SweepResult]:
-    jobs = max(1, jobs)
-    tasks = [(max_m, k, jobs) for k in range(jobs)]
+def _check_lr(pair):
+    lam, mu = pair
+    parts = _parts(lam.size)
+    expansion = kron_expand(lam, mu)
+    for pi in parts:
+        lrp = lr_pair_count(lam, mu, pi)
+        want = sum(kostka(nu, pi) * expansion[nu] for nu in parts)
+        yield "lr-pair-identity", lrp != want and (
+            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
+        )
+        yield "lr-dominates-kron", lrp < expansion[pi] and (
+            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {expansion[pi]}"
+        )
+
+
+def _check_dispatch(triple):
+    yield _oracle("dispatch", triple, kron_coeff(*triple)[0], "fast")
+
+
+def _shard(suite: Suite, max_m: int, shard: int, nshards: int):
+    """Per property: instances checked, and the first failures as (unit index, text)."""
+    checked = dict.fromkeys(suite.names, 0)
+    failures = {name: [] for name in suite.names}
+    units = chain.from_iterable(suite.units(_parts(m)) for m in range(max_m + 1))
+    for idx, unit in enumerate(units, 1):
+        if idx % nshards != shard:
+            continue
+        for name, text in suite.check(unit):
+            checked[name] += 1
+            if text and len(failures[name]) < MAX_COUNTEREXAMPLES:
+                failures[name].append((idx, f"{name}: {text}"))
+    return checked, failures
+
+
+def _run(suite: Suite, max_m: int, jobs: int = 1) -> list[SweepResult]:
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     if jobs == 1:
-        outs = [worker(tasks[0])]
+        outs = [_shard(suite, max_m, 0, 1)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(worker, tasks))
-    merged: dict[str, SweepResult] = {}
-    for out in outs:
-        for name, checked, failures in out:
-            res = merged.setdefault(name, SweepResult(name))
-            res.checked += checked
-            res.failures.extend(failures)
-    for res in merged.values():
-        res.failures.sort()  # canonical order regardless of sharding
-    return list(merged.values())
+            outs = list(pool.map(partial(_shard, suite, max_m, nshards=jobs), range(jobs)))
+    results = []
+    for name in suite.names:
+        # Stable by unit index alone, so failures inside one unit keep their order.
+        first = sorted(chain.from_iterable(f[name] for _, f in outs), key=itemgetter(0))
+        texts = sorted(text for _, text in first[:MAX_COUNTEREXAMPLES])
+        results.append(SweepResult(name, sum(c[name] for c, _ in outs), texts))
+    return results
 
 
-def sweep_stability(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_stability_shard, max_m, jobs)
+class Suite(NamedTuple):
+    names: tuple[str, ...]  # property names, in print order
+    units: Callable  # units(parts): the work units built from the partitions of m, in order
+    check: Callable  # check(unit): (property, counterexample or False) per instance
+
+    __call__ = _run  # suite(max_m, jobs=1) -> list[SweepResult]
 
 
-def sweep_reduction(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_reduction_shard, max_m, jobs)
-
-
-def sweep_formulas(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_formulas_shard, max_m, jobs)
-
-
-def sweep_dvir(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_dvir_shard, max_m, jobs)
-
-
-def sweep_lr(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_lr_shard, max_m, jobs)
-
-
-def sweep_dispatch(max_m: int, jobs: int = 1) -> list[SweepResult]:
-    return _run(_dispatch_shard, max_m, jobs)
-
-
+_pairs, _triples = partial(product, repeat=2), partial(product, repeat=3)
 SUITES = {
-    "stability": sweep_stability,
-    "reduction": sweep_reduction,
-    "formulas": sweep_formulas,
-    "dvir": sweep_dvir,
-    "lr": sweep_lr,
-    "dispatch": sweep_dispatch,
+    "stability": Suite(("stability",), _triples, _check_stability),
+    "reduction": Suite(("reduction-zero", "reduction-preserve"), _triples, _check_reduction),
+    "formulas": Suite(
+        ("formula-2row", "formula-422", "formula-consistency"), _formula_units, _check_formulas
+    ),
+    "dvir": Suite(("dvir",), _pairs, _check_dvir),
+    "lr": Suite(("lr-pair-identity", "lr-dominates-kron"), _pairs, _check_lr),
+    "dispatch": Suite(("dispatch",), _triples, _check_dispatch),
 }
 
 # The suites "all" runs, in order.  dispatch is not among them, because the
@@ -311,9 +184,5 @@ ALL_SUITES = ("stability", "reduction", "formulas", "dvir", "lr")
 
 def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
     """Run one named suite, or the ALL_SUITES in that order."""
-    if name == "all":
-        results = []
-        for suite in ALL_SUITES:
-            results.extend(SUITES[suite](max_m, jobs))
-        return results
-    return SUITES[name](max_m, jobs)
+    names = ALL_SUITES if name == "all" else (name,)
+    return [res for suite in names for res in SUITES[suite](max_m, jobs)]

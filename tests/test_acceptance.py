@@ -18,14 +18,7 @@ from kronkit import (
     mn_value,
 )
 from kronkit.partitions import partitions_of
-from kronkit.verify import (
-    sweep_dispatch,
-    sweep_dvir,
-    sweep_formulas,
-    sweep_lr,
-    sweep_reduction,
-    sweep_stability,
-)
+from kronkit.verify import run_suite
 
 
 def report(criterion, ok, detail):
@@ -58,13 +51,13 @@ def test_criterion_01_oracle_self_consistency():
 
 
 def test_criterion_02_stability_sweep():
-    results = by_name(sweep_stability(5))
+    results = by_name(run_suite("stability", 5))
     res = results["stability"]
     report(2, res.ok, f"{res.checked} inflated instances; {res.failures or 'no counterexamples'}")
 
 
 def test_criterion_03_rectangle_reduction_sweep():
-    results = by_name(sweep_reduction(10))
+    results = by_name(run_suite("reduction", 10))
     zero, pres = results["reduction-zero"], results["reduction-preserve"]
     ok = zero.ok and pres.ok
     report(
@@ -76,27 +69,27 @@ def test_criterion_03_rectangle_reduction_sweep():
 
 
 def test_criterion_04_lr_pair_identity():
-    res = by_name(sweep_lr(6))["lr-pair-identity"]
+    res = by_name(run_suite("lr", 6))["lr-pair-identity"]
     report(4, res.ok, f"{res.checked} (lam,mu,pi) identities; {res.failures or 'exact'}")
 
 
 def test_criterion_05_lr_dominates_kron():
-    res = by_name(sweep_lr(6))["lr-dominates-kron"]
+    res = by_name(run_suite("lr", 6))["lr-dominates-kron"]
     report(5, res.ok, f"{res.checked} inequalities; {res.failures or 'exact'}")
 
 
 def test_criterion_06_dvir_sweep():
-    res = by_name(sweep_dvir(7))["dvir"]
+    res = by_name(run_suite("dvir", 7))["dvir"]
     report(6, res.ok, f"{res.checked} applicable triples; {res.failures or 'exact'}")
 
 
 def test_criterion_07_two_row_formula_sweep():
-    res = by_name(sweep_formulas(12))["formula-2row"]
+    res = by_name(run_suite("formulas", 12))["formula-2row"]
     report(7, res.ok, f"{res.checked} triples m<=12; {res.failures or 'exact'}")
 
 
 def test_criterion_08_four_two_two_formula_sweep():
-    results = by_name(sweep_formulas(12))
+    results = by_name(run_suite("formulas", 12))
     formula, consistency = results["formula-422"], results["formula-consistency"]
     ok = formula.ok and consistency.ok
     report(
@@ -123,5 +116,5 @@ def test_criterion_09_component_length_bound():
 
 
 def test_criterion_10_dispatcher_equivalence():
-    res = by_name(sweep_dispatch(8))["dispatch"]
+    res = by_name(run_suite("dispatch", 8))["dispatch"]
     report(10, res.ok, f"{res.checked} ordered triples m<=8; {res.failures or 'exact'}")

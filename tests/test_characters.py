@@ -144,20 +144,6 @@ class TestPermutationCharacter:
             assert phi(identity_class(m)) == multinomial
 
 
-class TestCacheBudget:
-    def test_env_var_parsing(self, monkeypatch):
-        from kronkit.characters import _cache_entries
-
-        monkeypatch.delenv("KRONKIT_CACHE_BYTES", raising=False)
-        assert _cache_entries() is None
-        monkeypatch.setenv("KRONKIT_CACHE_BYTES", "1024000")
-        assert _cache_entries() == 2000
-        monkeypatch.setenv("KRONKIT_CACHE_BYTES", "1")
-        assert _cache_entries() == 64  # floor so tiny budgets still cache a little
-        monkeypatch.setenv("KRONKIT_CACHE_BYTES", "not-a-number")
-        assert _cache_entries() is None
-
-
 class TestSkewCharacter:
     def test_single_box(self):
         assert skew_character(skew((3, 1), (2, 1))) == {Partition((1,)): 1}

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
 from itertools import combinations_with_replacement
 
+import pytest
+
+import kronkit.verify as verify_mod
 from kronkit.cli import main
 from kronkit.partitions import format_partition, partitions_of
-from kronkit.verify import SweepResult
+from kronkit.verify import ALL_SUITES, SweepResult
 
 
 def run(capsys, *argv):
@@ -175,18 +179,43 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_parallel_jobs_match_serial(self, capsys):
-        code, serial, _ = run(capsys, "verify", "--max-m", "3", "--suite", "reduction")
+    @pytest.mark.parametrize("suite", ALL_SUITES + ("dispatch",))
+    def test_parallel_jobs_match_serial(self, capsys, suite):
+        code, serial, _ = run(capsys, "verify", "--max-m", "5", "--suite", suite)
         assert code == 0
-        code, parallel, _ = run(
-            capsys, "verify", "--max-m", "3", "--suite", "reduction", "--jobs", "2"
-        )
+        code, parallel, _ = run(capsys, "verify", "--max-m", "5", "--suite", suite, "--jobs", "2")
         assert code == 0
         assert serial == parallel
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
-        import kronkit.verify as verify_mod
+    def test_counterexamples_do_not_depend_on_jobs(self, capsys, monkeypatch):
+        # A wrong oracle fails both properties many times over.  Shards run in
+        # this process, so the patched oracle is the one every shard sees.
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(verify_mod, "kron_coeff_direct", lambda lam, mu, nu: lam.size)
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
+        argv = ("verify", "--max-m", "6", "--suite", "reduction")
+        code, serial, _ = run(capsys, *argv)
+        assert code == 1
+        for prop in ("reduction-zero", "reduction-preserve"):
+            assert serial.count(f"counterexample: {prop}:") == verify_mod.MAX_COUNTEREXAMPLES
+        code, parallel, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 1
+        assert parallel == serial
+
+    def test_failure_exit_code(self, capsys, monkeypatch):
         def fake_suite(name, max_m, jobs=1):
             return [SweepResult("fake", 1, ["fake: counterexample"])]
 

@@ -10,13 +10,11 @@ from kronkit import (
     ceil_half,
     dvir_reduce,
     four_two_two_formula,
-    four_two_two_reduce,
     kron_coeff_direct,
     lr_pair_count,
     rectangle_reduce,
     stability_inflate,
     two_row_formula,
-    vanishing_lr,
 )
 from kronkit.partitions import partitions_of
 
@@ -119,18 +117,16 @@ class TestRectangleReduce:
 
 
 class TestVanishingLr:
+    """A Zero verdict of rectangle_reduce also makes the pair count lr vanish."""
+
     def test_true_case(self):
-        assert vanishing_lr((2, 2, 2, 2), (5, 3), (4, 4)) is True
+        assert isinstance(rectangle_reduce((2, 2, 2, 2), (5, 3), (4, 4)), Zero)
 
     def test_false_case(self):
-        assert vanishing_lr((1, 1, 1, 1), (2, 2), (2, 2)) is False
-
-    def test_frame_precondition(self):
-        with pytest.raises(ShapeError):
-            vanishing_lr((2, 2, 2, 2), (4, 4), (3, 3, 2))
+        assert isinstance(rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2)), Reduced)
 
     def test_soundness(self):
-        # where the test fires, the shared-content pair count really is zero
+        # lengths p = q*r in argument order; where Zero fires, lr(lam, mu; nu) = 0
         for m in range(9):
             parts = list(partitions_of(m))
             for lam in parts:
@@ -144,7 +140,7 @@ class TestVanishingLr:
                     for nu in parts:
                         if nu.length * q != p:
                             continue
-                        if vanishing_lr(lam, mu, nu):
+                        if isinstance(rectangle_reduce(lam, mu, nu), Zero):
                             assert lr_pair_count(lam, mu, nu) == 0
 
 
@@ -225,24 +221,23 @@ class TestFourTwoTwoFormula:
 
 
 class TestFourTwoTwoReduce:
+    """rectangle_reduce on triples of exact lengths (4, 2, 2): the frame (4, 2, 2, lam4)."""
+
     def test_reduces_to_smaller_triple(self):
-        decision = four_two_two_reduce((3, 2, 1, 1), (4, 3), (4, 3))
+        decision = rectangle_reduce((3, 2, 1, 1), (4, 3), (4, 3))
         assert isinstance(decision, Reduced)
         assert decision.triple == (P(2, 1), P(2, 1), P(2, 1))
+        assert decision.frame == RectangleFrame(4, 2, 2, 1)
 
     def test_zero_branch(self):
-        decision = four_two_two_reduce((2, 1, 1, 1), (4, 1), (4, 1))
-        assert isinstance(decision, Zero)
+        decision = rectangle_reduce((2, 1, 1, 1), (4, 1), (4, 1))
+        assert decision == Zero(RectangleFrame(4, 2, 2, 1))
         assert kron_coeff_direct((2, 1, 1, 1), (4, 1), (4, 1)) == 0
 
     def test_full_cancellation(self):
-        decision = four_two_two_reduce((1, 1, 1, 1), (2, 2), (2, 2))
+        decision = rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2))
         assert isinstance(decision, Reduced)
         assert decision.triple == (P(), P(), P())
-
-    def test_rejects_wrong_lengths(self):
-        with pytest.raises(ShapeError):
-            four_two_two_reduce((2, 2, 2), (3, 3), (3, 3))
 
     def test_consistency_with_formula(self):
         # the closed formula and reduce-then-two-row agree where both apply
@@ -255,7 +250,7 @@ class TestFourTwoTwoReduce:
                         if 2 * lam[2] > min(mu[1], nu[1]):
                             continue
                         value, _ = four_two_two_formula(lam, mu, nu)
-                        decision = four_two_two_reduce(lam, mu, nu)
+                        decision = rectangle_reduce(lam, mu, nu)
                         if isinstance(decision, Zero):
                             assert value == 0
                         else:
