@@ -1,20 +1,21 @@
 """Exact irreducible character values of the symmetric group.
 
-The border-strip recursion is the workhorse; class sizes, hook-length
-dimensions, and inner products round out the ground-truth layer that every
-fast path in the package is checked against.  All arithmetic is plain
-Python integers, so nothing ever overflows or rounds.
+The border-strip recursion on int-bitmask beta-sets is the workhorse;
+class sizes, hook-length dimensions, and inner products round out the
+ground-truth layer that every fast path in the package is checked against.
+All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import ExactnessError, SizeMismatchError
+from .errors import ExactnessError, ShapeError, SizeMismatchError
 from .lr import lr_coeff, perm_character_decomp
 from .partitions import Composition, Partition, SkewShape, partitions_of
 
@@ -60,53 +61,61 @@ def class_weights(n: int) -> tuple[int, ...]:
     return tuple(class_size(rho) for rho in cycle_types(n))
 
 
-def _border_strips(lam: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Removable length-k border strips of lam, as (smaller shape, height).
+def _beta_set(parts: tuple[int, ...]) -> int:
+    """The abacus of a partition: one bead (set bit) per row, at its first-column hook.
 
-    Runs on the first-column hook lengths (beta numbers), which encode the
-    rim: removing a strip of length k moves one bead down by k, and the
-    strip height is the number of beads jumped over.  Beads are scanned by
-    row, so the enumeration order is deterministic.
+    A zero row would set bit 0 and push every bead up one, so a mask with
+    bit 0 clear names exactly one partition (James & Kerber 1981, 2.7).
     """
-    rows = len(lam)
-    beta = [lam[i] + rows - 1 - i for i in range(rows)]
-    occupied = set(beta)
-    out = []
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = [c for c in beta if c != b] + [nb]
-        new_beta.sort(reverse=True)
-        parts = tuple(new_beta[j] - (rows - 1 - j) for j in range(rows))
-        end = len(parts)
-        while end and parts[end - 1] == 0:
-            end -= 1
-        out.append((parts[:end], height))
-    return out
+    rows = len(parts)
+    return sum(1 << (part + rows - 1 - i) for i, part in enumerate(parts))
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    # Cycle parts are consumed largest-first (rho is sorted decreasing),
-    # which keeps the (shape, remaining type) key space small.
+def _chi(mask: int, rho: int) -> int:
+    """chi at the shape with beta-set mask, of the cycle type with beta-set rho.
+
+    The top bead of rho is its largest part k plus the beads below it, and
+    clearing it leaves the rest.  A length-k border strip is one bead moved
+    down k places to an empty one; its height is the number of beads jumped.
+    The smaller values come from the memo _mn, which wraps this function.
+    """
     if not rho:
         return 1
-    k, rest = rho[0], rho[1:]
+    top = rho.bit_length() - 1
+    rest = rho ^ (1 << top)
+    k = top - rest.bit_count()
     total = 0
-    for smaller, height in _border_strips(lam, k):
+    movable = (mask & ~(mask << k)) >> k << k
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        smaller = mask ^ bead ^ (bead >> k)
+        if smaller & 1:  # landed on 0: drop the zero rows, so one shape has one key
+            smaller >>= (smaller ^ (smaller + 1)).bit_length() - 1
         term = _mn(smaller, rest)
-        total += -term if height % 2 else term
+        height = (mask & (bead - 1) & -(bead >> (k - 1))).bit_count()
+        total += -term if height & 1 else term
     return total
 
 
+_mn = lru_cache(maxsize=None)(_chi)
+
+
 def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
-    """Character value chi^lam(rho) by the border-strip recursion."""
+    """Character value chi^lam(rho) by the border-strip recursion.
+
+    The recursion nests once per part of rho; a rho too long for the
+    interpreter's recursion limit (a little under 500 parts at the default
+    limit of 1000 on CPython 3.11) raises ShapeError, never RecursionError.
+    """
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise SizeMismatchError(f"|{lam!r}| = {lam.size} but |{rho!r}| = {rho.size}")
-    return _mn(tuple(lam), tuple(rho))
+    try:
+        return _mn(_beta_set(lam), _beta_set(rho))
+    except RecursionError:
+        limit = f"the recursion limit ({sys.getrecursionlimit()})"
+        raise ShapeError(f"{rho.length} cycles nest deeper than {limit}") from None
 
 
 def dimension(lam: Iterable[int]) -> int:
@@ -130,8 +139,16 @@ def cycle_sign(rho: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _class_sets(n: int) -> tuple[int, ...]:
+    """_beta_set over cycle_types(n), in that order."""
+    return tuple(_beta_set(rho) for rho in cycle_types(n))
+
+
+@lru_cache(maxsize=None)
 def _row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(_mn(lam, tuple(rho)) for rho in cycle_types(n))
+    # A row's own entries are not put in _mn: _row keeps the whole row.
+    mask = _beta_set(lam)
+    return tuple([_chi(mask, rho) for rho in _class_sets(n)])
 
 
 def character_row(lam: Iterable[int]) -> tuple[int, ...]:

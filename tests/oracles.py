@@ -1,10 +1,13 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately share no code with the package: partition counts come
-from the pentagonal-number recurrence, and tableau counts from
-generate-all-then-filter enumeration over every possible filling.
+from the pentagonal-number recurrence, tableau counts from
+generate-all-then-filter enumeration over every possible filling, and
+character values from a border-strip recursion on beta-number lists and
+shape tuples rather than on the package's bitmasks.
 """
 
+from functools import lru_cache
 from itertools import product
 
 
@@ -104,3 +107,49 @@ def brute_ssyt_count(shape, content):
         if _semistandard(grid):
             count += 1
     return count
+
+
+def _border_strips(lam, k):
+    """Removable length-k border strips of lam, as (smaller shape, height).
+
+    Runs on the first-column hook lengths (beta numbers), which encode the
+    rim: removing a strip of length k moves one bead down by k, and the
+    strip height is the number of beads jumped over.  Beads are scanned by
+    row, so the enumeration order is deterministic.
+    """
+    rows = len(lam)
+    beta = [lam[i] + rows - 1 - i for i in range(rows)]
+    occupied = set(beta)
+    out = []
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in occupied:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        new_beta = [c for c in beta if c != b] + [nb]
+        new_beta.sort(reverse=True)
+        parts = tuple(new_beta[j] - (rows - 1 - j) for j in range(rows))
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        out.append((parts[:end], height))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mn(lam, rho):
+    # Cycle parts are consumed largest-first (rho is sorted decreasing),
+    # which keeps the (shape, remaining type) key space small.
+    if not rho:
+        return 1
+    k, rest = rho[0], rho[1:]
+    total = 0
+    for smaller, height in _border_strips(lam, k):
+        term = _mn(smaller, rest)
+        total += -term if height % 2 else term
+    return total
+
+
+def border_strip_value(lam, rho):
+    """chi^lam(rho) for partitions lam and rho of one n, given as decreasing tuples."""
+    return _mn(tuple(lam), tuple(rho))

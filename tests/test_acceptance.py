@@ -33,7 +33,7 @@ def by_name(results):
 
 def test_criterion_01_oracle_self_consistency():
     checked = 0
-    for n in range(9):
+    for n in range(13):
         rows = [character_row(lam) for lam in partitions_of(n)]
         weights = class_weights(n)
         fact = math.factorial(n)
@@ -42,12 +42,18 @@ def test_criterion_01_oracle_self_consistency():
                 total = sum(w * x * y for w, x, y in zip(weights, a, b))
                 assert total == (fact if i == j else 0)
                 checked += 1
-    for n in range(11):
+        columns = list(zip(*rows))
+        for i, a in enumerate(columns):
+            for j, b in enumerate(columns):
+                total = sum(x * y for x, y in zip(a, b))
+                assert total == (fact // weights[i] if i == j else 0)
+                checked += 1
+    for n in range(13):
         identity = Partition((1,) * n)
         for lam in partitions_of(n):
             assert mn_value(lam, identity) == dimension(lam)
             checked += 1
-    report(1, True, f"orthogonality n<=8 and hook dimensions n<=10, {checked} checks")
+    report(1, True, f"row and column orthogonality and hook dimensions n<=12, {checked} checks")
 
 
 def test_criterion_02_stability_sweep():

@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kronkit import (
     CharacterVector,
     ExactnessError,
     Partition,
+    ShapeError,
     SizeMismatchError,
     character_row,
     character_table,
@@ -23,11 +25,18 @@ from kronkit import (
     skew_character,
 )
 from kronkit.partitions import partitions_of
-from oracles import brute_lr_count
+from oracles import border_strip_value, brute_lr_count
 
 
 def identity_class(n):
     return Partition((1,) * n)
+
+
+def pairs_st(min_n, max_n):
+    """(lam, rho), two partitions of one n, each uniform among the partitions of n."""
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.tuples(st.sampled_from(cycle_types(n)), st.sampled_from(cycle_types(n)))
+    )
 
 
 class TestClassSizes:
@@ -66,6 +75,23 @@ class TestMnValue:
         with pytest.raises(SizeMismatchError):
             mn_value((2, 1), (2, 2))
 
+    def test_rows_match_reference(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                want = tuple(border_strip_value(lam, rho) for rho in cycle_types(n))
+                assert character_row(lam) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_st(13, 30))
+    def test_matches_reference_beyond_rows(self, pair):
+        lam, rho = pair
+        assert mn_value(lam, rho) == border_strip_value(lam, rho)
+
+    def test_long_cycle_type_is_a_shape_error(self):
+        assert mn_value((299, 1), (1,) * 300) == dimension((299, 1)) == 299
+        with pytest.raises(ShapeError, match="3000 cycles"):
+            mn_value((3000,), (1,) * 3000)
+
 
 class TestDimension:
     def test_examples(self):
@@ -102,7 +128,7 @@ class TestCharacterTable:
                     assert total == (math.factorial(n) if lam == mu else 0)
 
     def test_conjugation_twist(self):
-        for n in range(9):
+        for n in range(13):
             for lam in partitions_of(n):
                 twisted = character_row(conjugate(lam))
                 straight = character_row(lam)
