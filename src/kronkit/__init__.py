@@ -19,6 +19,7 @@ from .partitions import (
     Rectangle,
     SkewShape,
     add_rectangle,
+    coerce_same_size,
     conjugate,
     format_partition,
     intersect,

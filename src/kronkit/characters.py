@@ -3,19 +3,19 @@
 The border-strip recursion on int-bitmask beta-sets is the workhorse;
 class sizes, hook-length dimensions, and inner products round out the
 ground-truth layer that every fast path in the package is checked against.
+A class function is one integer row in cycle_types(n) order.
 All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
-from .errors import ExactnessError, ShapeError, SizeMismatchError
+from .errors import ExactnessError, ShapeError, SizeMismatchError, _depth_guard
 from .lr import lr_coeff, perm_character_decomp
 from .partitions import Composition, Partition, SkewShape, partitions_of
 
@@ -101,6 +101,7 @@ def _chi(mask: int, rho: int) -> int:
 _mn = lru_cache(maxsize=None)(_chi)
 
 
+@_depth_guard(lambda lam, rho: f"{Partition(rho).length} cycles")
 def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
     """Character value chi^lam(rho) by the border-strip recursion.
 
@@ -111,11 +112,7 @@ def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise SizeMismatchError(f"|{lam!r}| = {lam.size} but |{rho!r}| = {rho.size}")
-    try:
-        return _mn(_beta_set(lam), _beta_set(rho))
-    except RecursionError:
-        limit = f"the recursion limit ({sys.getrecursionlimit()})"
-        raise ShapeError(f"{rho.length} cycles nest deeper than {limit}") from None
+    return _mn(_beta_set(lam), _beta_set(rho))
 
 
 def dimension(lam: Iterable[int]) -> int:
@@ -157,49 +154,56 @@ def character_row(lam: Iterable[int]) -> tuple[int, ...]:
     return _row(lam, sum(lam))
 
 
+def _class_sum(total: int, n: int, what: Callable[[], str]) -> int:
+    """total / n!, the one division of a class sum; what() names the inputs
+    for the ExactnessError a remainder raises, and runs only then."""
+    value, rem = divmod(total, math.factorial(n))
+    if rem:
+        raise ExactnessError(f"{what()} gave {total}/{n}!")
+    return value
+
+
 @dataclass(frozen=True)
 class CharacterVector:
     """An exact class function on S_degree: one integer per cycle type.
 
-    Covers genuine and virtual characters alike; the pointwise product
-    below is the Kronecker (tensor) product of characters.
+    row follows cycle_types(degree), as character_row does.  Covers genuine
+    and virtual characters alike; the pointwise product below is the
+    Kronecker (tensor) product of characters.
     """
 
     degree: int
-    values: Mapping[Partition, int]
+    row: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", tuple(self.row))
+        classes = len(cycle_types(self.degree))
+        if len(self.row) != classes:
+            raise ShapeError(f"{len(self.row)} values for {classes} classes of S_{self.degree}")
 
     def __call__(self, rho: Iterable[int]) -> int:
-        return self.values[Partition(rho)]
+        rho = Partition(rho)
+        if rho.size != self.degree:
+            raise SizeMismatchError(f"|{rho!r}| = {rho.size} but the degree is {self.degree}")
+        return self.row[cycle_types(self.degree).index(rho)]
 
     def tensor(self, other: "CharacterVector") -> "CharacterVector":
         if self.degree != other.degree:
             raise SizeMismatchError(f"degrees differ: {self.degree} != {other.degree}")
-        return CharacterVector(
-            self.degree, {rho: v * other.values[rho] for rho, v in self.values.items()}
-        )
-
-    __mul__ = tensor
-
-
-@lru_cache(maxsize=None)
-def _irr(lam: Partition) -> CharacterVector:
-    return CharacterVector(lam.size, dict(zip(cycle_types(lam.size), character_row(lam))))
+        return CharacterVector(self.degree, tuple(x * y for x, y in zip(self.row, other.row)))
 
 
 def irreducible_character(lam: Iterable[int]) -> CharacterVector:
     """The irreducible character chi^lam as a CharacterVector."""
-    return _irr(Partition(lam))
+    lam = Partition(lam)
+    return CharacterVector(lam.size, character_row(lam))
 
 
 def permutation_character(pi: Iterable[int]) -> CharacterVector:
-    """Character induced from the trivial character of the Young subgroup S_pi."""
+    """Induced from the trivial character of S_pi: sum of K_{nu,pi} chi^nu (Young's rule)."""
     pi = Composition(pi)
-    m = pi.size
-    values = {rho: 0 for rho in cycle_types(m)}
-    for nu, mult in perm_character_decomp(pi).items():
-        for rho, v in irreducible_character(nu).values.items():
-            values[rho] += mult * v
-    return CharacterVector(m, values)
+    terms = [[k * x for x in character_row(nu)] for nu, k in perm_character_decomp(pi).items()]
+    return CharacterVector(pi.size, tuple(map(sum, zip(*terms))))
 
 
 def character_table(n: int) -> dict[Partition, CharacterVector]:
@@ -208,7 +212,7 @@ def character_table(n: int) -> dict[Partition, CharacterVector]:
     Rows and the columns inside each CharacterVector both follow the
     reverse lex order of cycle_types(n).
     """
-    return {lam: irreducible_character(lam) for lam in partitions_of(n)}
+    return {lam: irreducible_character(lam) for lam in cycle_types(n)}
 
 
 def inner_product(phi: CharacterVector, psi: CharacterVector) -> int:
@@ -216,13 +220,8 @@ def inner_product(phi: CharacterVector, psi: CharacterVector) -> int:
     if phi.degree != psi.degree:
         raise SizeMismatchError(f"degrees differ: {phi.degree} != {psi.degree}")
     n = phi.degree
-    total = 0
-    for rho, w in zip(cycle_types(n), class_weights(n)):
-        total += w * phi.values[rho] * psi.values[rho]
-    value, rem = divmod(total, math.factorial(n))
-    if rem:
-        raise ExactnessError(f"inner product {total}/{n}! is not integral")
-    return value
+    total = sum(w * x * y for w, x, y in zip(class_weights(n), phi.row, psi.row))
+    return _class_sum(total, n, lambda: f"inner product of {phi!r} and {psi!r}")
 
 
 def skew_character(shape: SkewShape) -> dict[Partition, int]:

@@ -7,11 +7,10 @@ formulas, and falls back to the oracle, recording each step in a trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .characters import character_row, class_weights, cycle_types
+from .characters import _class_sum, character_row, class_weights, cycle_types
 from .errors import ExactnessError
 from .partitions import Partition, coerce_same_size
 from .reductions import ReductionTrace, TraceStep, Zero, rectangle_reduce, two_row_formula
@@ -37,9 +36,14 @@ def kron_coeff_direct(lam, mu, nu) -> int:
     total = 0
     for w, x, y, z in zip(class_weights(m), a, b, c):
         total += w * x * y * z
-    value, rem = divmod(total, math.factorial(m))
-    if rem or value < 0:
-        raise ExactnessError(f"class sum for ({lam!r}, {mu!r}, {nu!r}) gave {total}/{m}!")
+    return _coefficient(total, m, lambda: f"class sum for ({lam!r}, {mu!r}, {nu!r})")
+
+
+def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
+    # Unlike an inner product of virtual characters, a multiplicity is >= 0.
+    value = _class_sum(total, m, what)
+    if value < 0:
+        raise ExactnessError(f"{what()} gave {total}/{m}!")
     return value
 
 
@@ -64,16 +68,13 @@ def kron_expand(lam, mu) -> KroneckerExpansion:
     """Full expansion of chi^lam (x) chi^mu over all partitions of m."""
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
-    fact = math.factorial(m)
     tensor = [
         w * x * y for w, x, y in zip(class_weights(m), character_row(lam), character_row(mu))
     ]
     out: dict[Partition, int] = {}
     for nu in cycle_types(m):
         total = sum(t * z for t, z in zip(tensor, character_row(nu)))
-        value, rem = divmod(total, fact)
-        if rem or value < 0:
-            raise ExactnessError(f"expansion of ({lam!r}, {mu!r}) at {nu!r} gave {total}/{m}!")
+        value = _coefficient(total, m, lambda: f"expansion of ({lam!r}, {mu!r}) at {nu!r}")
         if value:
             out[nu] = value
     return KroneckerExpansion(m, out)

@@ -109,6 +109,27 @@ def brute_ssyt_count(shape, content):
     return count
 
 
+def cycle_assignment_count(pi, rho):
+    """phi^pi(rho), the permutation character of the Young subgroup S_pi.
+
+    A permutation fixes a coset of S_pi (a tabloid of content pi) exactly
+    when each of its cycles lies inside one block, so this counts the ways
+    to put every cycle of rho into a block of pi with each block's cycle
+    lengths summing to its size.  pi may be any composition of |rho|.
+    """
+
+    def place(i, room):
+        if i == len(rho):
+            return 1 if not any(room) else 0
+        total = 0
+        for b, free in enumerate(room):
+            if rho[i] <= free:
+                total += place(i + 1, room[:b] + (free - rho[i],) + room[b + 1 :])
+        return total
+
+    return place(0, tuple(pi))
+
+
 def _border_strips(lam, k):
     """Removable length-k border strips of lam, as (smaller shape, height).
 

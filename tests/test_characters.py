@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from kronkit import (
     skew_character,
 )
 from kronkit.partitions import partitions_of
-from oracles import border_strip_value, brute_lr_count
+from oracles import border_strip_value, brute_lr_count, cycle_assignment_count
 
 
 def identity_class(n):
@@ -104,13 +105,23 @@ class TestCharacterTable:
     def test_n0(self):
         table = character_table(0)
         empty = Partition(())
-        assert table[empty].values == {empty: 1}
+        assert table[empty].row == (1,)
 
     def test_n2(self):
         table = character_table(2)
         triv, sign = Partition((2,)), Partition((1, 1))
-        assert table[triv].values == {Partition((2,)): 1, Partition((1, 1)): 1}
-        assert table[sign].values == {Partition((2,)): -1, Partition((1, 1)): 1}
+        assert cycle_types(2) == (Partition((2,)), Partition((1, 1)))
+        assert table[triv].row == (1, 1)
+        assert table[sign].row == (-1, 1)
+
+    def test_class_outside_the_degree(self):
+        with pytest.raises(SizeMismatchError):
+            irreducible_character((2, 1))((2,))
+
+    def test_row_is_a_tuple_of_one_value_per_class(self):
+        assert CharacterVector(2, [1, 0]).row == (1, 0)
+        with pytest.raises(ShapeError):
+            CharacterVector(2, (1,))
 
     def test_n3_standard_row(self):
         row = irreducible_character((2, 1))
@@ -153,9 +164,9 @@ class TestInnerProduct:
             inner_product(irreducible_character((2,)), irreducible_character((2, 1)))
 
     def test_non_exact_division_raises(self):
-        fake = CharacterVector(2, {Partition((2,)): 1, Partition((1, 1)): 0})
+        fake = CharacterVector(2, (1, 0))
         triv = irreducible_character((2,))
-        with pytest.raises(ExactnessError):
+        with pytest.raises(ExactnessError, match=re.escape(f"inner product of {fake!r}")):
             inner_product(fake, triv)
 
 
@@ -168,6 +179,13 @@ class TestPermutationCharacter:
             for part in pi:
                 multinomial //= math.factorial(part)
             assert phi(identity_class(m)) == multinomial
+
+    def test_every_class_matches_cycle_assignments(self):
+        pis = [tuple(pi) for n in range(8) for pi in partitions_of(n)]
+        for pi in pis + [(1, 3), (2, 1, 2), (1, 2, 3, 1), (3, 4)]:
+            phi = permutation_character(pi)
+            for rho in cycle_types(sum(pi)):
+                assert phi(rho) == cycle_assignment_count(pi, tuple(rho))
 
 
 class TestSkewCharacter:

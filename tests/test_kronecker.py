@@ -1,10 +1,12 @@
 import json
+import re
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronkit import (
+    ExactnessError,
     Partition,
     SizeMismatchError,
     canonical_triple,
@@ -19,7 +21,7 @@ from kronkit.partitions import partitions_of
 
 
 @st.composite
-def triples_st(draw, min_m=9, max_m=13):
+def triples_st(draw, min_m=9, max_m=16):
     """Three partitions of one m, beyond the exhaustive sweeps' m <= 8.
 
     Half the draws come from partitions of at most 4 rows, where the
@@ -72,6 +74,20 @@ class TestDirect:
                         assert kron_coeff_direct(lam, mu, nu) == kron_coeff_direct(
                             conjugate(lam), conjugate(mu), nu
                         )
+
+
+class TestExactnessGuard:
+    # Rows no genuine characters have, patched in where the oracle reads them.
+    # Over S_2 a row (1, 0) leaves the class sum 1/2!, and (-2, 0) gives -8/2!.
+    @pytest.mark.parametrize("row", [(1, 0), (-2, 0)])
+    def test_bad_class_sums_raise(self, monkeypatch, row):
+        monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
+        triple = (Partition((2,)), Partition((1, 1)), Partition((2,)))
+        with pytest.raises(ExactnessError, match=re.escape(f"class sum for {triple!r} gave")):
+            kron_coeff_direct(*triple)
+        pair = "(Partition((2,)), Partition((1, 1))) at Partition((2,))"
+        with pytest.raises(ExactnessError, match=re.escape(f"expansion of {pair} gave")):
+            kron_expand(*triple[:2])
 
 
 class TestExpand:
@@ -181,3 +197,6 @@ class TestDispatcher:
         assert kron_coeff(*triple)[0] == want
         for perm in permutations(triple):
             assert kron_coeff(*perm)[0] == want
+        lam, mu, nu = triple
+        # chi^{lam'} = sgn chi^lam, and sgn^2 = 1 (Macdonald, I.7).
+        assert kron_coeff(conjugate(lam), conjugate(mu), nu)[0] == want

@@ -4,6 +4,7 @@ import pytest
 
 from kronkit import (
     Partition,
+    ShapeError,
     SizeMismatchError,
     dimension,
     inner_product,
@@ -148,3 +149,32 @@ class TestPermCharacterDecomp:
 
     def test_two_one(self):
         assert perm_character_decomp((2, 1)) == {Partition((3,)): 1, Partition((2, 1)): 1}
+
+
+class TestRecursionLimit:
+    """Inputs nested deeper than the recursion limit raise ShapeError.
+
+    At the default limit of 1000 a call from a script's top level fails from
+    994 cells for lr_coeff and from 497 parts for the others.  A test runs
+    some 30 frames deeper, so the inputs that must succeed keep a margin.
+    """
+
+    def test_lr_coeff(self):
+        assert lr_coeff(skew((900,), ()), (900,)) == 1
+        with pytest.raises(ShapeError, match="1500 cells nest deeper than the recursion limit"):
+            lr_coeff(skew((1500,), ()), (1500,))
+
+    def test_kostka(self):
+        assert kostka((450,), (1,) * 450) == 1
+        with pytest.raises(ShapeError, match="1500 content parts nest deeper than the recursion"):
+            kostka((1500,), (1,) * 1500)
+
+    def test_multitableau_count(self):
+        assert multitableau_count((450,), [(1,)] * 450) == 1
+        with pytest.raises(ShapeError, match="1500 contents nest deeper than the recursion limit"):
+            multitableau_count((1500,), [(1,)] * 1500)
+
+    def test_lr_pair_count(self):
+        assert lr_pair_count((450,), (450,), (1,) * 450) == 1
+        with pytest.raises(ShapeError, match="1500 contents nest deeper than the recursion limit"):
+            lr_pair_count((1500,), (1500,), (1,) * 1500)
