@@ -10,12 +10,13 @@ All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import ExactnessError, ShapeError, SizeMismatchError, _depth_guard
+from .errors import ExactnessError, ShapeError, SizeMismatchError
 from .lr import lr_coeff, perm_character_decomp
 from .partitions import Composition, Partition, SkewShape, partitions_of
 
@@ -101,7 +102,6 @@ def _chi(mask: int, rho: int) -> int:
 _mn = lru_cache(maxsize=None)(_chi)
 
 
-@_depth_guard(lambda lam, rho: f"{Partition(rho).length} cycles")
 def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
     """Character value chi^lam(rho) by the border-strip recursion.
 
@@ -112,7 +112,11 @@ def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise SizeMismatchError(f"|{lam!r}| = {lam.size} but |{rho!r}| = {rho.size}")
-    return _mn(_beta_set(lam), _beta_set(rho))
+    try:
+        return _mn(_beta_set(lam), _beta_set(rho))
+    except RecursionError:
+        limit = f"the recursion limit ({sys.getrecursionlimit()})"
+        raise ShapeError(f"{rho.length} cycles nest deeper than {limit}") from None
 
 
 def dimension(lam: Iterable[int]) -> int:

@@ -1,7 +1,4 @@
-"""Exception types shared across the package, and the recursion-depth guard."""
-
-import functools
-import sys
+"""Exception types shared across the package; this module holds nothing else."""
 
 
 class KronkitError(Exception):
@@ -27,25 +24,3 @@ class ExactnessError(KronkitError, ArithmeticError):
     are genuine characters, so this signals an internal bug, not bad input.
     """
 
-
-def _depth_guard(describe):
-    """Decorator: a RecursionError in the call becomes a ShapeError naming the limit.
-
-    The recursive counters nest once or twice per cell, part or cycle, so an
-    input deep enough for the interpreter's recursion limit is a shape the
-    operation cannot take.  describe(*args) names what nests too deep, such
-    as "3000 cycles"; it runs only on failure.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def guarded(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except RecursionError:
-                limit = f"the recursion limit ({sys.getrecursionlimit()})"
-                raise ShapeError(f"{describe(*args, **kwargs)} nest deeper than {limit}") from None
-
-        return guarded
-
-    return decorate

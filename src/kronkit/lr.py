@@ -1,11 +1,8 @@
 """Littlewood-Richardson and Kostka counting by explicit tableau enumeration.
 
 The counting here is deliberate brute force: backtracking over cells and
-chains rather than bijective or polytope methods.  At desk scale that is
-fast enough, and it keeps every number auditable.  The backtracking nests
-once per cell in lr_coeff and twice per content part elsewhere, so at the
-default recursion limit of 1000 a shape of about 990 cells, or about 495
-content parts, raises ShapeError, never RecursionError.
+loops over chains of shapes rather than bijective or polytope methods.  At
+desk scale that is fast enough, and it keeps every number auditable.
 """
 
 from __future__ import annotations
@@ -14,8 +11,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SizeMismatchError, _depth_guard
-from .partitions import Composition, Partition, SkewShape, partitions_of
+from .errors import SizeMismatchError
+from .partitions import Composition, Partition, SkewShape, _partitions_between, partitions_of
 
 __all__ = [
     "lr_coeff",
@@ -26,7 +23,6 @@ __all__ = [
 ]
 
 
-@_depth_guard(lambda shape, content: f"{shape.size} cells")
 def lr_coeff(shape: SkewShape, content: Iterable[int]) -> int:
     """Number of Littlewood-Richardson tableaux of the given shape and content.
 
@@ -46,7 +42,7 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
     # Backtracking over cells row by row, right to left inside each row.
     # That traversal IS the reverse reading word, so the lattice condition
     # can prune on every prefix: value v is placeable only while its count
-    # stays below the count of v-1.
+    # stays below the count of v-1.  Cell idx holds 0 until it gets a value.
     rows = len(outer)
     pad_inner = inner + (0,) * (rows - len(inner))
     cells = [(i, j) for i in range(rows) for j in range(outer[i] - 1, pad_inner[i] - 1, -1)]
@@ -57,45 +53,32 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
         return 0
     grid = [[0] * outer[i] for i in range(rows)]
     counts = [0] * (nvals + 1)
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
+    total, idx, end = 0, 0, len(cells)
+    while idx >= 0:
+        if idx == end:
+            total += 1
+            idx -= 1
+            continue
         i, j = cells[idx]
-        right = grid[i][j + 1] if j + 1 < outer[i] else nvals
-        above = grid[i - 1][j] if i > 0 and j >= pad_inner[i - 1] else 0
-        got = 0
-        for v in range(above + 1, min(right, nvals) + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
+        v = grid[i][j]
+        if v:
+            counts[v] -= 1
+        elif i > 0 and j >= pad_inner[i - 1]:
+            v = grid[i - 1][j]
+        top = grid[i][j + 1] if j + 1 < outer[i] else nvals
+        v += 1
+        while v <= top and (counts[v] >= content[v - 1] or v > 1 and counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= top:
             counts[v] += 1
             grid[i][j] = v
-            got += place(idx + 1)
+            idx += 1
+        else:
             grid[i][j] = 0
-            counts[v] -= 1
-        return got
-
-    return place(0)
+            idx -= 1
+    return total
 
 
-def _subpartitions(lam: tuple[int, ...], size: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of size contained in lam, in reverse lex order."""
-
-    def rec(i: int, remaining: int, bound: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        if i >= len(lam):
-            return
-        for a in range(min(bound, lam[i], remaining), 0, -1):
-            yield from rec(i + 1, remaining - a, a, prefix + (a,))
-
-    yield from rec(0, size, lam[0] if lam else 0, ())
-
-
-@_depth_guard(lambda lam, contents: f"{len(contents)} contents")
 def multitableau_count(lam: Iterable[int], contents: Sequence[Iterable[int]]) -> int:
     """Littlewood-Richardson multitableaux of shape lam with these contents.
 
@@ -112,18 +95,27 @@ def multitableau_count(lam: Iterable[int], contents: Sequence[Iterable[int]]) ->
 
 @lru_cache(maxsize=None)
 def _multi(lam: tuple[int, ...], contents: tuple[tuple[int, ...], ...]) -> int:
-    if not contents:
-        return 1 if not lam else 0
-    head, last = contents[:-1], contents[-1]
-    total = 0
-    for prev in _subpartitions(lam, sum(lam) - sum(last)):
-        c = _lr(lam, prev, last)
-        if c:
-            total += c * _multi(prev, head)
-    return total
+    # Walk the chains down from lam, one content at a time from the last,
+    # keeping {shape: weighted number of chains from lam down to it}.
+    layer = {lam: 1}
+    for content in reversed(contents):
+        k = sum(content)
+        below = {}
+        for shape, count in layer.items():
+            for prev in _partitions_between(sum(shape) - k, (0,) * len(shape), shape):
+                c = _lr(shape, prev, content)
+                if c:
+                    below[prev] = below.get(prev, 0) + count * c
+        layer = below
+    return layer.get((), 0)
 
 
-@_depth_guard(lambda lam, mu, pi: f"{len(Composition(pi))} contents")
+@lru_cache(maxsize=None)
+def _contents(k: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of k, as the contents one part of pi can carry."""
+    return tuple(map(tuple, partitions_of(k)))
+
+
 def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> int:
     """Pairs of LR multitableaux of shapes lam and mu sharing their contents.
 
@@ -138,8 +130,7 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
         raise SizeMismatchError(
             f"sizes differ: |{lam!r}|={lam.size}, |{mu!r}|={mu.size}, |{pi!r}|={pi.size}"
         )
-    parts = tuple(sorted(pi, reverse=True))
-    pools = [tuple(tuple(p) for p in partitions_of(k)) for k in parts]
+    pools = [_contents(k) for k in sorted(pi, reverse=True)]
     lam_t, mu_t = tuple(lam), tuple(mu)
     total = 0
     for contents in product(*pools):
@@ -149,7 +140,6 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
     return total
 
 
-@_depth_guard(lambda nu, pi: f"{len(Composition(pi))} content parts")
 def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
     """Number of semistandard tableaux of shape nu and content pi.
 
@@ -160,47 +150,42 @@ def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
     pi = Composition(pi)
     if nu.size != pi.size:
         raise SizeMismatchError(f"|{nu!r}| = {nu.size} but |{pi!r}| = {pi.size}")
-    return _kostka(tuple(nu), tuple(pi))
+    return _fillings(tuple(pi), tuple(nu)).get(tuple(nu), 0)
+
+
+def _hstrips(shape: tuple[int, ...], k: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Shapes inside bound made by adding a horizontal strip of k cells to
+    shape, in reverse lex order: row i grows to at most the old row i-1."""
+    size = sum(shape) + k
+    high = tuple(map(min, bound, (size,) + shape))
+    low = shape + (0,) * (len(high) - len(shape))
+    return _partitions_between(size, low, high)
+
+
+def _fillings(pi: tuple[int, ...], bound: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{shape inside bound: semistandard fillings with content pi}, for every
+    shape that has one.  The cells holding value v form a horizontal strip,
+    so each value adds one strip to every shape of the layer before."""
+    layer = {(): 1}
+    for k in pi:
+        grown = {}
+        for shape, count in layer.items():
+            for nu in _hstrips(shape, k, bound):
+                grown[nu] = grown.get(nu, 0) + count
+        layer = grown
+    return layer
 
 
 @lru_cache(maxsize=None)
-def _kostka(nu: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    # Entries equal to the largest value form a horizontal strip; peel it
-    # and recurse on the rest of the content.
-    if not pi:
-        return 1 if not nu else 0
-    total = 0
-    for prev in _hstrip_removals(nu, pi[-1]):
-        total += _kostka(prev, pi[:-1])
-    return total
-
-
-def _hstrip_removals(nu: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """Shapes left after deleting a horizontal strip of k cells from nu."""
-    rows = len(nu)
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == rows:
-            if remaining == 0:
-                end = len(prefix)
-                while end and prefix[end - 1] == 0:
-                    end -= 1
-                yield prefix[:end]
-            return
-        floor = nu[i + 1] if i + 1 < rows else 0
-        for take in range(min(remaining, nu[i] - floor) + 1):
-            yield from rec(i + 1, remaining - take, prefix + (nu[i] - take,))
-
-    yield from rec(0, k, ())
+def _decomp(pi: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    # Cached, because the lr sweep asks for each pi once per pair of shapes.
+    n = sum(pi)
+    layer = _fillings(pi, (n,) * n)
+    return tuple((Partition(nu), layer[nu]) for nu in sorted(layer, reverse=True))
 
 
 def perm_character_decomp(pi: Iterable[int]) -> dict[Partition, int]:
     """Young's rule: multiplicities of irreducibles in the permutation
-    character of the Young subgroup S_pi, as a {partition: Kostka} map."""
-    pi = Composition(pi)
-    out = {}
-    for nu in partitions_of(pi.size):
-        k = kostka(nu, pi)
-        if k:
-            out[nu] = k
-    return out
+    character of the Young subgroup S_pi, as a {partition: Kostka} map in
+    reverse lex order of the partitions."""
+    return dict(_decomp(tuple(Composition(pi))))

@@ -7,6 +7,7 @@ freely (including across threads) and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import PartitionError, ShapeError, SizeMismatchError
@@ -222,20 +223,50 @@ def partitions_of(
     """
     if m < 0:
         raise PartitionError(f"cannot partition the negative integer {m}")
-    limit_len = m if max_length is None else min(max_length, m)
-    limit_part = m if max_part is None else min(max_part, m)
-
-    def rec(remaining: int, bound: int, rows: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        if rows == 0 or bound == 0:
-            return
-        for first in range(min(bound, remaining), 0, -1):
-            yield from rec(remaining - first, first, rows - 1, prefix + (first,))
-
-    for parts in rec(m, limit_part, limit_len, ()):
+    rows = m if max_length is None else max(0, min(max_length, m))
+    width = m if max_part is None else min(max_part, m)
+    for parts in _partitions_between(m, (0,) * rows, (width,) * rows):
         yield Partition(parts)
+
+
+def _partitions_between(
+    size: int, low: tuple[int, ...], high: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Partitions p of size with low[i] <= p[i] <= high[i] for every row i.
+
+    low and high have one entry per row p may use.  The p come as tuples
+    without trailing zeros, in reverse lexicographic order.  The search keeps
+    the rows on a list and backtracks by index, so no input is too long.
+    """
+    rows = len(low)
+    floor = [*accumulate(reversed(low), initial=0)][::-1]  # floor[i]: the fewest cells rows i.. hold
+    if size < floor[0]:
+        return
+    p = [size] + [0] * rows  # row i is p[i + 1]; p[0] caps the first row
+    i, left = 0, size  # rows placed, cells still to place
+    while True:
+        # Fill the rows from i on, each as long as it may be.  A row holds at
+        # least left / (rows - i) cells, because the rows below it are no longer.
+        while left and i < rows:
+            top = min(high[i], p[i], left - floor[i + 1])
+            if top < low[i] or top * (rows - i) < left:
+                break
+            i += 1
+            p[i] = top
+            left -= top
+        if not left:
+            yield tuple(p[1 : i + 1])
+        # Back up to the last row that can lose a cell.
+        while True:
+            if not i:
+                return
+            left += p[i]
+            shorter = p[i] - 1
+            if shorter >= low[i - 1] and shorter * (rows - i + 1) >= left:
+                p[i] = shorter
+                left -= shorter
+                break
+            i -= 1
 
 
 _BRACKETS = {"[": "]", "(": ")"}

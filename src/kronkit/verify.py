@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import kron_coeff, kron_coeff_direct, kron_expand
-from .lr import kostka, lr_pair_count
+from .lr import lr_pair_count, perm_character_decomp
 from .partitions import Partition, conjugate, format_partition, intersect
 from .reductions import RectangleFrame, Zero, dvir_reduce, four_two_two_formula, rectangle_reduce
 from .reductions import stability_inflate, two_row_formula
@@ -109,11 +109,10 @@ def _check_dvir(pair):
 
 def _check_lr(pair):
     lam, mu = pair
-    parts = _parts(lam.size)
     expansion = kron_expand(lam, mu)
-    for pi in parts:
+    for pi in _parts(lam.size):
         lrp = lr_pair_count(lam, mu, pi)
-        want = sum(kostka(nu, pi) * expansion[nu] for nu in parts)
+        want = sum(k * expansion[nu] for nu, k in perm_character_decomp(pi).items())
         yield "lr-pair-identity", lrp != want and (
             f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
         )

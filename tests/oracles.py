@@ -1,10 +1,13 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately share no code with the package: partition counts come
-from the pentagonal-number recurrence, tableau counts from
-generate-all-then-filter enumeration over every possible filling, and
-character values from a border-strip recursion on beta-number lists and
-shape tuples rather than on the package's bitmasks.
+from the pentagonal-number recurrence, partitions themselves from splitting
+parts until nothing new appears, LR tableau counts from
+generate-all-then-filter enumeration over every possible filling,
+semistandard tableau counts from fillings built cell by cell that are
+dropped as soon as a row or column breaks, and character values from a
+border-strip recursion on beta-number lists and shape tuples rather than on
+the package's bitmasks.
 """
 
 from functools import lru_cache
@@ -30,6 +33,69 @@ def pentagonal_counts(limit):
             k += 1
         counts.append(total)
     return counts
+
+
+@lru_cache(maxsize=None)
+def all_partitions(m):
+    """Every partition of m, in reverse lex order.
+
+    Starts from (m,) and splits one part into two until no new partition
+    appears; every partition of m is reached, because merging its parts
+    one pair at a time ends at (m,).
+    """
+    seen = {(m,) if m else ()}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for i, a in enumerate(p):
+            for b in range(1, a // 2 + 1):
+                q = tuple(sorted(p[:i] + (a - b, b) + p[i + 1 :], reverse=True))
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+    return tuple(sorted(seen, reverse=True))
+
+
+def brute_partitions(m, max_length=None, max_part=None):
+    """The partitions of m with at most max_length parts, each at most max_part."""
+    return [
+        p
+        for p in all_partitions(m)
+        if (max_length is None or len(p) <= max_length)
+        and (max_part is None or not p or p[0] <= max_part)
+    ]
+
+
+def _padded(p, rows):
+    return tuple(p) + (0,) * (rows - len(p))
+
+
+def brute_subshapes(lam, size):
+    """The partitions of size whose diagrams lie inside lam's."""
+    lam = tuple(lam)
+    return [
+        p
+        for p in all_partitions(size)
+        if len(p) <= len(lam) and all(a <= b for a, b in zip(p, lam))
+    ]
+
+
+def brute_hstrip_shapes(lam, size):
+    """The partitions nu of size with nu / lam a horizontal strip.
+
+    That is, lam lies inside nu and no column of nu / lam has two cells:
+    row i + 1 of nu is no longer than row i of lam.
+    """
+    lam = tuple(lam)
+    out = []
+    for nu in all_partitions(size):
+        rows = max(len(nu), len(lam)) + 1
+        new, old = _padded(nu, rows), _padded(lam, rows)
+        if all(old[i] <= new[i] for i in range(rows)) and all(
+            new[i + 1] <= old[i] for i in range(rows - 1)
+        ):
+            out.append(nu)
+    return out
 
 
 def _skew_cells(outer, inner):
@@ -90,23 +156,34 @@ def brute_lr_count(outer, inner, content):
 
 
 def brute_ssyt_count(shape, content):
-    """Semistandard tableaux of straight shape and (composition) content."""
+    """Semistandard tableaux of straight shape and (composition) content.
+
+    The cells are filled in row-major order with every value the content
+    still has room for; a partial filling is dropped as soon as its newest
+    cell is smaller than its left neighbour or no larger than the one above.
+    """
     shape, content = tuple(shape), tuple(content)
     cells = _skew_cells(shape, ())
     if sum(content) != len(cells):
         return 0
-    nvals = len(content)
-    count = 0
-    for fill in product(range(1, nvals + 1), repeat=len(cells)):
-        grid = dict(zip(cells, fill))
-        hist = [0] * nvals
-        for v in fill:
-            hist[v - 1] += 1
-        if tuple(hist) != content:
-            continue
-        if _semistandard(grid):
-            count += 1
-    return count
+    room = list(content)
+    grid = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        total = 0
+        for v in range(1, len(room) + 1):
+            if room[v - 1] and grid.get((i, j - 1), 0) <= v and grid.get((i - 1, j), 0) < v:
+                room[v - 1] -= 1
+                grid[(i, j)] = v
+                total += fill(idx + 1)
+                room[v - 1] += 1
+        grid.pop((i, j), None)
+        return total
+
+    return fill(0)
 
 
 def cycle_assignment_count(pi, rho):

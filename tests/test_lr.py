@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from kronkit import (
     Partition,
-    ShapeError,
     SizeMismatchError,
     dimension,
     inner_product,
@@ -19,6 +22,8 @@ from kronkit import (
 )
 from kronkit.partitions import partitions_of
 from oracles import brute_lr_count, brute_ssyt_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLrCoeff:
@@ -150,31 +155,50 @@ class TestPermCharacterDecomp:
     def test_two_one(self):
         assert perm_character_decomp((2, 1)) == {Partition((3,)): 1, Partition((2, 1)): 1}
 
+    def test_against_brute_force(self):
+        pis = [tuple(pi) for n in range(9) for pi in partitions_of(n)] + [(1, 3), (2, 1, 2)]
+        for pi in pis:
+            n = sum(pi)
+            want = {}
+            for nu in partitions_of(n):
+                k = brute_ssyt_count(tuple(nu), pi)
+                if k:
+                    want[nu] = k
+            # want is in reverse lex order, and so must the keys be
+            assert list(perm_character_decomp(pi).items()) == list(want.items())
+
 
 class TestRecursionLimit:
-    """Inputs nested deeper than the recursion limit raise ShapeError.
+    """The counters loop rather than recurse, so no input is too deep for them.
 
-    At the default limit of 1000 a call from a script's top level fails from
-    994 cells for lr_coeff and from 497 parts for the others.  A test runs
-    some 30 frames deeper, so the inputs that must succeed keep a margin.
+    The sizes are three times those at which the recursive counters gave up
+    at the default recursion limit: 994 cells for lr_coeff, 497 parts for
+    the others.
     """
 
     def test_lr_coeff(self):
-        assert lr_coeff(skew((900,), ()), (900,)) == 1
-        with pytest.raises(ShapeError, match="1500 cells nest deeper than the recursion limit"):
-            lr_coeff(skew((1500,), ()), (1500,))
+        assert lr_coeff(skew((3000,), ()), (3000,)) == 1
 
     def test_kostka(self):
-        assert kostka((450,), (1,) * 450) == 1
-        with pytest.raises(ShapeError, match="1500 content parts nest deeper than the recursion"):
-            kostka((1500,), (1,) * 1500)
+        assert kostka((1500,), (1,) * 1500) == 1
+        assert kostka((1,) * 1500, (1,) * 1500) == 1
 
     def test_multitableau_count(self):
-        assert multitableau_count((450,), [(1,)] * 450) == 1
-        with pytest.raises(ShapeError, match="1500 contents nest deeper than the recursion limit"):
-            multitableau_count((1500,), [(1,)] * 1500)
+        assert multitableau_count((1500,), [(1,)] * 1500) == 1
 
     def test_lr_pair_count(self):
-        assert lr_pair_count((450,), (450,), (1,) * 450) == 1
-        with pytest.raises(ShapeError, match="1500 contents nest deeper than the recursion limit"):
-            lr_pair_count((1500,), (1500,), (1,) * 1500)
+        assert lr_pair_count((1500,), (1500,), (1,) * 1500) == 1
+
+    def test_no_earlier_call(self):
+        # A memo filled by an earlier call once decided whether a call got
+        # past the stack limit, so these run in a fresh interpreter.
+        script = (
+            "from kronkit import kostka, multitableau_count\n"
+            "print(kostka((1500,), (1,) * 1500), multitableau_count((1500,), [(1,)] * 1500))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]

@@ -17,7 +17,15 @@ from kronkit import (
     skew,
     subtract_rectangle,
 )
-from oracles import pentagonal_counts
+from kronkit.lr import _hstrips
+from kronkit.partitions import _partitions_between
+from oracles import (
+    all_partitions,
+    brute_hstrip_shapes,
+    brute_partitions,
+    brute_subshapes,
+    pentagonal_counts,
+)
 
 
 @st.composite
@@ -206,6 +214,41 @@ class TestPartitionsOf:
             seen = list(partitions_of(m))
             assert len(seen) == len(set(seen))
             assert all(p.size == m for p in seen)
+
+    def test_bounds_against_filter(self):
+        bounds = (None, 0, 1, 2, 5)
+        for m in range(21):
+            for max_length in bounds:
+                for max_part in bounds:
+                    want = brute_partitions(m, max_length, max_part)
+                    assert list(partitions_of(m, max_length, max_part)) == want
+
+    def test_longer_than_the_recursion_limit(self):
+        assert next(partitions_of(3000, max_part=1)) == (1,) * 3000
+
+
+class TestPartitionsBetween:
+    """The one enumerator behind partitions_of and the tableau counters,
+    against filters over every partition of the size, order included."""
+
+    def test_sub_shapes(self):
+        for m in range(13):
+            for lam in all_partitions(m):
+                for size in range(m + 1):
+                    got = list(_partitions_between(size, (0,) * len(lam), lam))
+                    assert got == brute_subshapes(lam, size)
+
+    def test_horizontal_strips(self):
+        for m in range(13):
+            for lam in all_partitions(m):
+                # the last bound lets each row, and one new row, grow by one cell
+                for k in range(4):
+                    n = m + k
+                    want = brute_hstrip_shapes(lam, n)
+                    assert list(_hstrips(lam, k, (n,) * n)) == want
+                    bound = tuple(a + 1 for a in lam) + (1,)
+                    inside = [nu for nu in want if nu in brute_subshapes(bound, n)]
+                    assert list(_hstrips(lam, k, bound)) == inside
 
 
 class TestTextFormat:
