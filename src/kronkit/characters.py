@@ -1,7 +1,17 @@
 """Exact irreducible character values of the symmetric group.
 
-The border-strip recursion on int-bitmask beta-sets is the workhorse;
-class sizes, hook-length dimensions, and inner products round out the
+Character rows are filled a block of classes at a time.  In cycle_types(n)
+the classes whose largest part is k form one block, and their remainders
+are the partitions of n - k with parts <= k, the last p(n - k, <= k)
+entries of cycle_types(n - k).  So Murnaghan-Nakayama on the largest part
+(James & Kerber 1981, 2.4) is a vector identity: block k of the row of lam
+is the signed sum of those suffixes of the rows of the shapes one k-strip
+smaller than lam.  Shapes are int-bitmask beta-sets, and one memo keeps
+each shape's row cut down to the classes with parts <= K for the largest K
+asked of it.  mn_value makes the same strip moves over the parts of one
+cycle type, for single values at sizes where no row fits in memory.
+
+Class sizes, hook-length dimensions, and inner products round out the
 ground-truth layer that every fast path in the package is checked against.
 A class function is one integer row in cycle_types(n) order.
 All arithmetic is plain Python integers, so nothing ever overflows or rounds.
@@ -10,10 +20,10 @@ All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 from __future__ import annotations
 
 import math
-import sys
-from collections import Counter
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Callable, Iterable
 
 from .errors import ExactnessError, ShapeError, SizeMismatchError
@@ -47,45 +57,90 @@ def cycle_types(n: int) -> tuple[Partition, ...]:
     return tuple(partitions_of(n))
 
 
+# Guards the two growing tables below: _COUNTS and _rows.
+_lock = threading.Lock()
+
+# _COUNTS[j][k] is p(j, <= k), the number of partitions of j with parts
+# <= k, for 0 <= k <= j.  Rows are only appended, each one whole.
+_COUNTS: list[tuple[int, ...]] = [(1,)]
+
+
+def _counts(n: int) -> list[tuple[int, ...]]:
+    """The table _COUNTS, grown to hold every j <= n."""
+    if len(_COUNTS) <= n:
+        with _lock:
+            for j in range(len(_COUNTS), n + 1):
+                row = [0]
+                for k in range(1, j + 1):
+                    row.append(row[-1] + _COUNTS[j - k][min(k, j - k)])
+                _COUNTS.append(tuple(row))
+    return _COUNTS
+
+
+def _class_index(rho: Partition) -> int:
+    """The position of rho in cycle_types(|rho|), counted rather than searched.
+
+    Before rho come the partitions whose first part is larger, then those
+    that share rho's first part and have a larger second part, and so on:
+    each part adds p(left, <= previous part) - p(left, <= part), where left
+    is what remains of n before that part, so a repeated part adds nothing.
+    """
+    left = prev = rho.size
+    counts = _counts(left)
+    index = 0
+    for part in rho:
+        if part != prev:
+            row = counts[left]
+            index += row[min(prev, left)] - row[part]
+            prev = part
+        left -= part
+    return index
+
+
+def _centralizer(rho: Partition) -> int:
+    """z_rho, the order of the centralizer of a permutation of cycle type rho:
+    the product over the parts of part times its place in its run of equal
+    parts, which is prod part**mult * mult! taken one factor at a time."""
+    z, run, prev = 1, 0, 0
+    for part in rho:
+        run = run + 1 if part == prev else 1
+        prev = part
+        z *= part * run
+    return z
+
+
 def class_size(rho: Iterable[int]) -> int:
     """Number of permutations of cycle type rho (n! over the centralizer)."""
     rho = Partition(rho)
-    z = 1
-    for part, mult in Counter(rho).items():
-        z *= part**mult * math.factorial(mult)
-    return math.factorial(rho.size) // z
+    return math.factorial(rho.size) // _centralizer(rho)
 
 
 @lru_cache(maxsize=None)
 def class_weights(n: int) -> tuple[int, ...]:
     """class_size over cycle_types(n), in that order."""
-    return tuple(class_size(rho) for rho in cycle_types(n))
+    order = math.factorial(n)
+    return tuple([order // _centralizer(rho) for rho in cycle_types(n)])
 
 
+@lru_cache(maxsize=None)
 def _beta_set(parts: tuple[int, ...]) -> int:
     """The abacus of a partition: one bead (set bit) per row, at its first-column hook.
 
     A zero row would set bit 0 and push every bead up one, so a mask with
     bit 0 clear names exactly one partition (James & Kerber 1981, 2.7).
+    Cached, so that a warm character_row is two dict lookups.
     """
     rows = len(parts)
     return sum(1 << (part + rows - 1 - i) for i, part in enumerate(parts))
 
 
-def _chi(mask: int, rho: int) -> int:
-    """chi at the shape with beta-set mask, of the cycle type with beta-set rho.
+def _strips(mask: int, k: int) -> list[tuple[int, int]]:
+    """(smaller shape, odd height) for each border strip of length k > 0.
 
-    The top bead of rho is its largest part k plus the beads below it, and
-    clearing it leaves the rest.  A length-k border strip is one bead moved
-    down k places to an empty one; its height is the number of beads jumped.
-    The smaller values come from the memo _mn, which wraps this function.
+    A length-k border strip is one bead moved down k places to an empty
+    one; its height is the number of beads jumped.
     """
-    if not rho:
-        return 1
-    top = rho.bit_length() - 1
-    rest = rho ^ (1 << top)
-    k = top - rest.bit_count()
-    total = 0
+    out = []
     movable = (mask & ~(mask << k)) >> k << k
     while movable:
         bead = movable & -movable
@@ -93,30 +148,88 @@ def _chi(mask: int, rho: int) -> int:
         smaller = mask ^ bead ^ (bead >> k)
         if smaller & 1:  # landed on 0: drop the zero rows, so one shape has one key
             smaller >>= (smaller ^ (smaller + 1)).bit_length() - 1
-        term = _mn(smaller, rest)
-        height = (mask & (bead - 1) & -(bead >> (k - 1))).bit_count()
-        total += -term if height & 1 else term
-    return total
+        out.append((smaller, (mask & (bead - 1) & -(bead >> (k - 1))).bit_count() & 1))
+    return out
 
 
-_mn = lru_cache(maxsize=None)(_chi)
+# shape mask -> chi at the classes of its size whose parts are <= K, for
+# the largest K asked of that shape so far: the last p(j, <= K) entries of
+# its row, the whole row when K = j.  An entry is only ever replaced by a
+# longer one, so every entry is a suffix of the true row.
+_rows: dict[int, tuple[int, ...]] = {0: (1,)}
+
+
+def _fill(mask: int, n: int) -> tuple[int, ...]:
+    """The whole row of the shape with beta-set mask, of size n, via _rows."""
+    counts = _counts(n)
+    # Demand pass, from size n down: need[j] maps each shape of size j to
+    # the largest part its row must reach.  A shape whose memo entry is long
+    # enough is used as it is; the others are queued, with their strips.
+    need = [{} for _ in range(n + 1)]
+    need[n][mask] = n
+    have, todo = {}, []
+    for j in range(n, -1, -1):
+        for shape, top in need[j].items():
+            row = _rows.get(shape, ())
+            if len(row) >= counts[j][top]:
+                have[shape] = row
+                continue
+            moves = []
+            for k in range(top, 0, -1):
+                below, bound = need[j - k], min(k, j - k)
+                strips = _strips(shape, k)
+                for smaller, _ in strips:
+                    if below.get(smaller, -1) < bound:
+                        below[smaller] = bound
+                moves.append((counts[j - k][bound], strips))
+            todo.append((shape, moves))
+    # Fill pass, from small sizes up: block k of a row is the signed sum of
+    # the last p(j - k, <= k) entries of the rows one k-strip smaller.
+    for shape, moves in reversed(todo):
+        out = []
+        for width, strips in moves:
+            block = (0,) * width
+            for smaller, odd in strips:
+                block = map(sub if odd else add, block, have[smaller][-width:])
+            out.extend(block)
+        have[shape] = tuple(out)
+    with _lock:
+        for shape, _ in todo:
+            if len(_rows.get(shape, ())) < len(have[shape]):
+                _rows[shape] = have[shape]
+    return have[mask]
+
+
+def character_row(lam: Iterable[int]) -> tuple[int, ...]:
+    """chi^lam over cycle_types(|lam|), in that order."""
+    lam = Partition(lam)
+    n = sum(lam)
+    mask = _beta_set(lam)
+    row = _rows.get(mask, ())
+    if len(row) < _counts(n)[n][n]:
+        row = _fill(mask, n)
+    return row
 
 
 def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
-    """Character value chi^lam(rho) by the border-strip recursion.
+    """Character value chi^lam(rho) by the border-strip rule.
 
-    The recursion nests once per part of rho; a rho too long for the
-    interpreter's recursion limit (a little under 500 parts at the default
-    limit of 1000 on CPython 3.11) raises ShapeError, never RecursionError.
+    Each part k of rho, largest first, takes every shape of a layer of
+    {shape: signed count} to the shapes one k-strip smaller; the value is
+    the count that reaches the empty shape.  It is a loop over the parts,
+    so rho may have any number of them.
     """
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise SizeMismatchError(f"|{lam!r}| = {lam.size} but |{rho!r}| = {rho.size}")
-    try:
-        return _mn(_beta_set(lam), _beta_set(rho))
-    except RecursionError:
-        limit = f"the recursion limit ({sys.getrecursionlimit()})"
-        raise ShapeError(f"{rho.length} cycles nest deeper than {limit}") from None
+    layer = {_beta_set(lam): 1}
+    for k in rho:
+        below = {}
+        for shape, count in layer.items():
+            for smaller, odd in _strips(shape, k):
+                below[smaller] = below.get(smaller, 0) + (-count if odd else count)
+        layer = below
+    return layer.get(0, 0)
 
 
 def dimension(lam: Iterable[int]) -> int:
@@ -137,25 +250,6 @@ def cycle_sign(rho: Iterable[int]) -> int:
     """Sign of any permutation of cycle type rho."""
     rho = Partition(rho)
     return -1 if (rho.size - rho.length) % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _class_sets(n: int) -> tuple[int, ...]:
-    """_beta_set over cycle_types(n), in that order."""
-    return tuple(_beta_set(rho) for rho in cycle_types(n))
-
-
-@lru_cache(maxsize=None)
-def _row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # A row's own entries are not put in _mn: _row keeps the whole row.
-    mask = _beta_set(lam)
-    return tuple([_chi(mask, rho) for rho in _class_sets(n)])
-
-
-def character_row(lam: Iterable[int]) -> tuple[int, ...]:
-    """chi^lam over cycle_types(|lam|), in that order."""
-    lam = Partition(lam)
-    return _row(lam, sum(lam))
 
 
 def _class_sum(total: int, n: int, what: Callable[[], str]) -> int:
@@ -189,7 +283,7 @@ class CharacterVector:
         rho = Partition(rho)
         if rho.size != self.degree:
             raise SizeMismatchError(f"|{rho!r}| = {rho.size} but the degree is {self.degree}")
-        return self.row[cycle_types(self.degree).index(rho)]
+        return self.row[_class_index(rho)]
 
     def tensor(self, other: "CharacterVector") -> "CharacterVector":
         if self.degree != other.degree:

@@ -42,7 +42,8 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
     # Backtracking over cells row by row, right to left inside each row.
     # That traversal IS the reverse reading word, so the lattice condition
     # can prune on every prefix: value v is placeable only while its count
-    # stays below the count of v-1.  Cell idx holds 0 until it gets a value.
+    # stays below the count of v-1.  So the values placed are 1..used, and
+    # no value above used + 1 is tried.  Cell idx holds 0 until it gets a value.
     rows = len(outer)
     pad_inner = inner + (0,) * (rows - len(inner))
     cells = [(i, j) for i in range(rows) for j in range(outer[i] - 1, pad_inner[i] - 1, -1)]
@@ -53,7 +54,7 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
         return 0
     grid = [[0] * outer[i] for i in range(rows)]
     counts = [0] * (nvals + 1)
-    total, idx, end = 0, 0, len(cells)
+    total, idx, end, used = 0, 0, len(cells), 0
     while idx >= 0:
         if idx == end:
             total += 1
@@ -63,13 +64,17 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
         v = grid[i][j]
         if v:
             counts[v] -= 1
+            if not counts[v]:
+                used -= 1
         elif i > 0 and j >= pad_inner[i - 1]:
             v = grid[i - 1][j]
-        top = grid[i][j + 1] if j + 1 < outer[i] else nvals
+        top = min(grid[i][j + 1] if j + 1 < outer[i] else nvals, used + 1)
         v += 1
         while v <= top and (counts[v] >= content[v - 1] or v > 1 and counts[v] >= counts[v - 1]):
             v += 1
         if v <= top:
+            if not counts[v]:
+                used += 1
             counts[v] += 1
             grid[i][j] = v
             idx += 1

@@ -1,5 +1,11 @@
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +31,11 @@ from kronkit import (
     skew,
     skew_character,
 )
+from kronkit.characters import _counts
 from kronkit.partitions import partitions_of
-from oracles import border_strip_value, brute_lr_count, cycle_assignment_count
+from oracles import border_strip_value, brute_lr_count, brute_partitions, cycle_assignment_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def identity_class(n):
@@ -47,8 +56,20 @@ class TestClassSizes:
         assert class_size((2, 1)) == 3
 
     def test_sum_is_group_order(self):
-        for n in range(13):
+        for n in range(21):
             assert sum(class_weights(n)) == math.factorial(n)
+
+    def test_runs_match_multiplicities(self):
+        # z_rho = prod part**mult * mult!, here from a Counter of the parts
+        for n in range(21):
+            want = []
+            for rho in cycle_types(n):
+                z = 1
+                for part, mult in Counter(rho).items():
+                    z *= part**mult * math.factorial(mult)
+                assert class_size(rho) == math.factorial(n) // z
+                want.append(math.factorial(n) // z)
+            assert class_weights(n) == tuple(want)
 
 
 class TestMnValue:
@@ -88,10 +109,52 @@ class TestMnValue:
         lam, rho = pair
         assert mn_value(lam, rho) == border_strip_value(lam, rho)
 
-    def test_long_cycle_type_is_a_shape_error(self):
-        assert mn_value((299, 1), (1,) * 300) == dimension((299, 1)) == 299
-        with pytest.raises(ShapeError, match="3000 cycles"):
-            mn_value((3000,), (1,) * 3000)
+    def test_long_cycle_type_has_its_value(self):
+        # Six times as many parts as the old recursive engine could take.
+        assert mn_value((2999, 1), (1,) * 3000) == dimension((2999, 1)) == 2999
+
+
+class TestCharacterRow:
+    # sha256 of one repr(character_row(lam)) line per lam of n <= 20, in
+    # partitions_of order, each line ending in a newline.
+    ROWS_TO_20 = "6d8c5f42d94eadb685bf82edf226bb533e0564b9693e75a95eeb2ab0c753c103"
+
+    def test_rows_to_20_are_pinned(self):
+        text = "".join(f"{character_row(lam)!r}\n" for n in range(21) for lam in partitions_of(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ROWS_TO_20
+
+    def test_fill_order_does_not_matter(self):
+        # The memo keeps rows cut down to the classes a larger shape asked
+        # for; what is filled first must not change any later row.
+        script = (
+            "import sys\n"
+            "from kronkit import character_row\n"
+            "from kronkit.partitions import partitions_of\n"
+            "sizes = range(15) if sys.argv[1] == 'up' else range(14, -1, -1)\n"
+            "rows = {tuple(lam): character_row(lam) for n in sizes for lam in partitions_of(n)}\n"
+            "for lam in sorted(rows):\n"
+            "    print(lam, rows[lam])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        outs = []
+        for order in ("up", "down"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, order],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == sum(len(cycle_types(n)) for n in range(15))
+
+    def test_bounded_partition_counts(self):
+        counts = _counts(30)
+        for j in range(31):
+            for k in range(31):
+                assert counts[j][min(j, k)] == len(brute_partitions(j, max_part=k))
 
 
 class TestDimension:
@@ -113,6 +176,14 @@ class TestCharacterTable:
         assert cycle_types(2) == (Partition((2,)), Partition((1, 1)))
         assert table[triv].row == (1, 1)
         assert table[sign].row == (-1, 1)
+
+    def test_class_lookup_is_the_rank_in_cycle_types(self):
+        for n in range(26):
+            classes = cycle_types(n)
+            positions = CharacterVector(n, range(len(classes)))
+            for i, rho in enumerate(classes):
+                assert positions(rho) == i
+            assert len(set(classes)) == len(classes)  # so i is classes.index(rho)
 
     def test_class_outside_the_degree(self):
         with pytest.raises(SizeMismatchError):

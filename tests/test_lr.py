@@ -1,7 +1,9 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,17 @@ class TestLrPairCount:
                     for pi in parts:
                         assert lr_pair_count(lam, mu, pi) == lr_pair_count(mu, lam, pi)
 
+    def test_every_value_to_m9_is_pinned(self):
+        # sha256 of json.dumps of the list of the 42,859 values over every
+        # ordered (lam, mu, pi) of one m <= 9, in partitions_of order.
+        values = [
+            lr_pair_count(lam, mu, pi)
+            for m in range(10)
+            for lam, mu, pi in product(partitions_of(m), repeat=3)
+        ]
+        digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+        assert digest == "edc3c3c0f7fbcea19b129eb5c2a4d70138386120cd00662e1ac824d0295a7b8d"
+
     def test_composition_order_irrelevant(self):
         assert lr_pair_count((3, 1), (2, 2), (1, 3)) == lr_pair_count((3, 1), (2, 2), (3, 1))
 
@@ -178,6 +191,11 @@ class TestRecursionLimit:
 
     def test_lr_coeff(self):
         assert lr_coeff(skew((3000,), ()), (3000,)) == 1
+
+    def test_lr_coeff_column(self):
+        # The values placed in a column are 1..1500, so none above the next
+        # one is tried at a cell.
+        assert lr_coeff(skew((1,) * 1500, ()), (1,) * 1500) == 1
 
     def test_kostka(self):
         assert kostka((1500,), (1,) * 1500) == 1
