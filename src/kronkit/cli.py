@@ -121,17 +121,21 @@ def _cmd_table(args) -> int:
     if args.m > args.cap:
         print(f"table size {args.m} exceeds the cap {args.cap}", file=sys.stderr)
         return EXIT_CAP
+    # The triples a <= b <= c in role order, each c read off the expansion of (a, b).
     parts = sorted(partitions_of(args.m), key=_role_key)
     rows = []
-    for a, b, c in combinations_with_replacement(parts, 3):
-        value, _ = kron_coeff(a, b, c)
-        if not value:
-            continue
-        if args.all_orderings:
-            seen = sorted(set(permutations((a, b, c))), key=lambda t: tuple(map(_role_key, t)))
-            rows.extend((x, y, z, value) for x, y, z in seen)
-        else:
-            rows.append((a, b, c, value))
+    for i, j in combinations_with_replacement(range(len(parts)), 2):
+        a, b = parts[i], parts[j]
+        expansion = kron_expand(a, b)
+        for c in parts[j:]:
+            value = expansion[c]
+            if not value:
+                continue
+            if args.all_orderings:
+                seen = sorted(set(permutations((a, b, c))), key=lambda t: tuple(map(_role_key, t)))
+                rows.extend((x, y, z, value) for x, y, z in seen)
+            else:
+                rows.append((a, b, c, value))
     if args.format == "json":
         obj = [
             {

@@ -3,14 +3,29 @@
 kron_coeff_direct is the ground truth the whole package leans on;
 kron_coeff is the fast path that sorts, peels rectangles, applies closed
 formulas, and falls back to the oracle, recording each step in a trace.
+
+kron_expand takes every nu at once by Kronecker substitution (Schoenhage
+1982; Harvey 2009) on the character table: column rho is packed into one
+int P_rho with a fixed-width field per nu, so that sum_rho t_rho * P_rho,
+for t = w * chi^lam * chi^mu, holds every class sum in its own field.  A
+field is B bytes, B*8 >= bits(m! * f**3) + 2 for f the table's largest
+|entry|; as the class sizes sum to m!, no total of any integer table can
+carry into its neighbour, so a wrong row still fails the division by m!
+rather than aliasing.  Only one nu of each conjugate pair has a field:
+chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
+classes and B over the odd ones, A + B holds the totals for nu and A - B
+those for nu'.  The packed columns are kept in one memo per m, _packed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Callable, Mapping
 
-from .characters import _class_sum, character_row, class_weights, cycle_types
+from .characters import _class_sum, character_row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .partitions import Partition, coerce_same_size
 from .reductions import ReductionTrace, TraceStep, Zero, rectangle_reduce, two_row_formula
@@ -64,16 +79,108 @@ class KroneckerExpansion:
         return self.values.items()
 
 
+@dataclass(frozen=True)
+class _Packed:
+    """The character table of S_m packed for kron_expand, one int per class.
+
+    pairs[k] holds the places in cycle_types(m) of the k-th nu with a field
+    and of its conjugate nu', which follows nu or is nu.  Field k of a
+    column is chi^nu(rho), width bytes wide, lowest field first.
+    """
+
+    width: int
+    pairs: tuple[tuple[int, int], ...]
+    even: tuple[bool, ...]  # per class: is rho an even permutation
+    odd: tuple[bool, ...]
+    even_columns: tuple[int, ...]
+    odd_columns: tuple[int, ...]
+
+    def fields(self, total: int) -> list[int]:
+        """The signed fields of a sum of columns, lowest first.  The bias
+        makes every field nonnegative, so none borrows from the next."""
+        width = self.width
+        bias = 1 << (8 * width - 1)
+        data = (total + bias * _ones(width, len(self.pairs))).to_bytes(
+            width * len(self.pairs), "little"
+        )
+        return [
+            int.from_bytes(data[i : i + width], "little") - bias
+            for i in range(0, len(data), width)
+        ]
+
+
+def _ones(width: int, count: int) -> int:
+    """The int with a 1 in the lowest byte of each of count width-byte fields."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+
+
+# m -> the packed character table of S_m, built on first use.  Two threads
+# may both build one; they store equal values, so either may win.
+_packed: dict[int, _Packed] = {}
+
+
+def _pack(m: int) -> _Packed:
+    """The rows of one nu of each conjugate pair, packed column by column."""
+    types = cycle_types(m)
+    place = {nu: i for i, nu in enumerate(types)}
+    pairs = []
+    for i, nu in enumerate(types):
+        j = place[nu.conjugate()]
+        if i <= j:
+            pairs.append((i, j))
+    rows = [character_row(types[i]) for i, _ in pairs]
+    # As the class sizes sum to m!, a field of A or of B is at most m! * f**3
+    # in size.  Its bias in fields(), 2**(8 * width - 1), needs one bit more;
+    # the second bit is spare.
+    f = max(max(max(row), -min(row)) for row in rows)
+    width = ((math.factorial(m) * f**3).bit_length() + 2 + 7) // 8
+    offset = f * _ones(width, len(pairs))
+    columns = [
+        int.from_bytes(
+            b"".join(map(int.to_bytes, map(add, column, repeat(f)), repeat(width), repeat("little"))),
+            "little",
+        )
+        - offset
+        for column in zip(*rows)
+    ]
+    odd = tuple(cycle_sign(rho) < 0 for rho in types)
+    even = tuple(not x for x in odd)
+    return _Packed(
+        width,
+        tuple(pairs),
+        even,
+        odd,
+        tuple(compress(columns, even)),
+        tuple(compress(columns, odd)),
+    )
+
+
+def _dot(values, columns) -> int:
+    """sum(v * c) over the nonzero values, which are often fewer than half
+    of a product of two characters."""
+    values = list(values)
+    return sum(map(mul, filter(None, values), compress(columns, values)))
+
+
 def kron_expand(lam, mu) -> KroneckerExpansion:
-    """Full expansion of chi^lam (x) chi^mu over all partitions of m."""
+    """Full expansion of chi^lam (x) chi^mu over all partitions of m, by
+    packed class sums (see the module docstring)."""
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
+    packed = _packed.get(m)
+    if packed is None:
+        packed = _packed[m] = _pack(m)
     tensor = [
         w * x * y for w, x, y in zip(class_weights(m), character_row(lam), character_row(mu))
     ]
+    even = packed.fields(_dot(compress(tensor, packed.even), packed.even_columns))
+    odd = packed.fields(_dot(compress(tensor, packed.odd), packed.odd_columns))
+    totals = [0] * len(tensor)
+    for (i, j), a, b in zip(packed.pairs, even, odd):
+        totals[j] = a - b
+        totals[i] = a + b  # after nu', so a self-conjugate nu takes its own sum
     out: dict[Partition, int] = {}
-    for nu in cycle_types(m):
-        total = sum(t * z for t, z in zip(tensor, character_row(nu)))
+    for nu, total in zip(cycle_types(m), totals):
         value = _coefficient(total, m, lambda: f"expansion of ({lam!r}, {mu!r}) at {nu!r}")
         if value:
             out[nu] = value

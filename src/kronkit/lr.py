@@ -8,7 +8,8 @@ desk scale that is fast enough, and it keeps every number auditable.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, count, product
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeMismatchError
@@ -160,11 +161,18 @@ def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
 
 def _hstrips(shape: tuple[int, ...], k: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Shapes inside bound made by adding a horizontal strip of k cells to
-    shape, in reverse lex order: row i grows to at most the old row i-1."""
+    shape, in reverse lex order: row i grows to at most the old row i-1.
+
+    The leading rows that cannot grow (low == high) are kept as a prefix,
+    so the enumerator only walks the rows below it; on a column that is
+    one row instead of all of them."""
     size = sum(shape) + k
     high = tuple(map(min, bound, (size,) + shape))
     low = shape + (0,) * (len(high) - len(shape))
-    return _partitions_between(size, low, high)
+    fixed = next(compress(count(), map(ne, low, high)), len(high))
+    prefix = shape[:fixed]
+    tails = _partitions_between(size - sum(prefix), low[fixed:], high[fixed:])
+    return (prefix + tail for tail in tails)
 
 
 def _fillings(pi: tuple[int, ...], bound: tuple[int, ...]) -> dict[tuple[int, ...], int]:

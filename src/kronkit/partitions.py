@@ -225,8 +225,10 @@ def partitions_of(
         raise PartitionError(f"cannot partition the negative integer {m}")
     rows = m if max_length is None else max(0, min(max_length, m))
     width = m if max_part is None else min(max_part, m)
+    # The enumerator's tuples are weakly decreasing positive ints already,
+    # so they become Partitions without passing the checks again.
     for parts in _partitions_between(m, (0,) * rows, (width,) * rows):
-        yield Partition(parts)
+        yield tuple.__new__(Partition, parts)
 
 
 def _partitions_between(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -159,6 +160,20 @@ class TestTable:
         for row in json.loads(out):
             triple = [parse_partition(row[key]) for key in ("lambda", "mu", "nu")]
             assert kron_coeff_direct(*triple) == row["k"]
+
+
+    # sha256 of the stdout of `kronkit table 12` in each format, the bytes
+    # every change to the engine keeps.
+    PINNED = {
+        "json": "cad72405b1fedbbb3081a4228760c17909444d0bfd34acade44a494baae9c198",
+        "csv": "4a335feb1d8391b8dd32847469d7bfe56fbf85e5d8da997339bee91da70a16f7",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(PINNED))
+    def test_degree_twelve_is_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "table", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[fmt]
 
 
 class TestVerify:

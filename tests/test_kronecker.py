@@ -34,6 +34,13 @@ def triples_st(draw, min_m=9, max_m=16):
     return (draw(parts), draw(parts), draw(parts))
 
 
+@st.composite
+def pairs_st(draw, min_m=10, max_m=16):
+    """Two partitions of one m, beyond the exhaustive expansion test's m <= 9."""
+    parts = st.sampled_from(list(partitions_of(draw(st.integers(min_m, max_m)))))
+    return (draw(parts), draw(parts))
+
+
 class TestDirect:
     def test_all_trivial(self):
         for m in range(7):
@@ -82,6 +89,8 @@ class TestExactnessGuard:
     @pytest.mark.parametrize("row", [(1, 0), (-2, 0)])
     def test_bad_class_sums_raise(self, monkeypatch, row):
         monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
+        # kron_expand must pack the patched rows, not an S_2 table packed earlier.
+        monkeypatch.setattr("kronkit.kronecker._packed", {})
         triple = (Partition((2,)), Partition((1, 1)), Partition((2,)))
         with pytest.raises(ExactnessError, match=re.escape(f"class sum for {triple!r} gave")):
             kron_coeff_direct(*triple)
@@ -90,7 +99,49 @@ class TestExactnessGuard:
             kron_expand(*triple[:2])
 
 
+    # Over S_3 (classes (3), (2, 1), (1, 1, 1) of sizes 2, 3, 1), every row
+    # patched to r gives the class sum 2 r0^3 + 3 r1^3 + r2^3 at nu = (3).
+    # Entries this far above any character of S_3 must widen the packed
+    # fields, so that this exact total, and no neighbour's, reaches the guard.
+    @pytest.mark.parametrize(
+        "row", [(2**200, 0, 0), (5**90, -(5**90), 7), (-(3**150), 1, 3**150 + 1)]
+    )
+    def test_huge_rows_raise_on_their_own_total(self, monkeypatch, row):
+        monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
+        monkeypatch.setattr("kronkit.kronecker._packed", {})
+        total = 2 * row[0] ** 3 + 3 * row[1] ** 3 + row[2] ** 3
+        assert total % 6 or total < 0
+        pair = (Partition((2, 1)), Partition((1, 1, 1)))
+        with pytest.raises(ExactnessError) as direct:
+            kron_coeff_direct(*pair, (3,))
+        assert str(direct.value).endswith(f" gave {total}/3!")
+        message = f"expansion of {pair!r} at Partition((3,)) gave {total}/3!"
+        with pytest.raises(ExactnessError, match=re.escape(message)):
+            kron_expand(*pair)
+
+
 class TestExpand:
+    def test_every_entry_to_m9_is_the_oracle(self):
+        for m in range(10):
+            parts = list(partitions_of(m))
+            for lam in parts:
+                for mu in parts:
+                    expansion = kron_expand(lam, mu)
+                    for nu in parts:
+                        assert expansion[nu] == kron_coeff_direct(lam, mu, nu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs_st())
+    def test_matches_the_oracle_beyond_sweeps(self, pair):
+        # The oracle reads every row directly, so this also checks the
+        # totals kron_expand takes for nu' from the field of nu.
+        want = {}
+        for nu in partitions_of(sum(pair[0])):
+            k = kron_coeff_direct(*pair, nu)
+            if k:
+                want[nu] = k
+        assert dict(kron_expand(*pair).items()) == want
+
     def test_two_two_square(self):
         expansion = kron_expand((2, 2), (2, 2))
         assert dict(expansion.items()) == {

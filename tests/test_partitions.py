@@ -226,6 +226,16 @@ class TestPartitionsOf:
     def test_longer_than_the_recursion_limit(self):
         assert next(partitions_of(3000, max_part=1)) == (1,) * 3000
 
+    def test_yields_checked_partitions(self):
+        # partitions_of skips Partition's checks; what it yields must pass them.
+        for m in range(16):
+            for max_length in (None, 0, 3):
+                for p in partitions_of(m, max_length, max_part=None if m % 2 else m // 2):
+                    assert type(p) is Partition
+                    assert Partition(tuple(p) + (0,)) == p
+        with pytest.raises(PartitionError):
+            list(partitions_of(-1))
+
 
 class TestPartitionsBetween:
     """The one enumerator behind partitions_of and the tableau counters,
@@ -249,6 +259,19 @@ class TestPartitionsBetween:
                     bound = tuple(a + 1 for a in lam) + (1,)
                     inside = [nu for nu in want if nu in brute_subshapes(bound, n)]
                     assert list(_hstrips(lam, k, bound)) == inside
+
+    def test_horizontal_strips_below_fixed_rows(self):
+        # A bound that meets the first r rows of lam leaves them no room to
+        # grow, so only the rows below them are enumerated.
+        for m in range(11):
+            for lam in all_partitions(m):
+                for k in range(4):
+                    n = m + k
+                    want = brute_hstrip_shapes(lam, n)
+                    for r in range(len(lam) + 1):
+                        bound = tuple(lam[:r]) + (n,) * (n - r)
+                        inside = [nu for nu in want if nu in brute_subshapes(bound, n)]
+                        assert list(_hstrips(lam, k, bound)) == inside
 
 
 class TestTextFormat:
