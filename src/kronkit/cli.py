@@ -136,14 +136,10 @@ def _cmd_table(args) -> int:
                 rows.extend((x, y, z, value) for x, y, z in seen)
             else:
                 rows.append((a, b, c, value))
+    text = {p: format_partition(p) for p in parts}
     if args.format == "json":
         obj = [
-            {
-                "lambda": format_partition(a),
-                "mu": format_partition(b),
-                "nu": format_partition(c),
-                "k": value,
-            }
+            {"lambda": text[a], "mu": text[b], "nu": text[c], "k": value}
             for a, b, c, value in rows
         ]
         print(json.dumps(obj, indent=2))
@@ -151,7 +147,7 @@ def _cmd_table(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "k"])
         for a, b, c, value in rows:
-            writer.writerow([format_partition(a), format_partition(b), format_partition(c), value])
+            writer.writerow([text[a], text[b], text[c], value])
     return EXIT_OK
 
 

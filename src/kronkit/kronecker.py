@@ -3,6 +3,13 @@
 kron_coeff_direct is the ground truth the whole package leans on;
 kron_coeff is the fast path that sorts, peels rectangles, applies closed
 formulas, and falls back to the oracle, recording each step in a trace.
+Before the oracle it tries two forms of Dvir's bound (J. Algebra 154,
+1993): l(nu) <= |lam ∩ mu'| and nu_1 <= |lam ∩ mu| hold whenever
+k(lam, mu, nu) != 0.  A triple that breaks one ends in a "vanishing" step
+with no frame, whose intermediates name the form under "bound"
+("dvir-length" or "dvir-width") with the two sides as "size" > "limit".
+kron_coeff validates its input once and then calls the private _rectangle
+and _direct, which the public rectangle_reduce and kron_coeff_direct wrap.
 
 kron_expand takes every nu at once by Kronecker substitution (Schoenhage
 1982; Harvey 2009) on the character table: column rho is packed into one
@@ -20,15 +27,16 @@ those for nu'.  The packed columns are kept in one memo per m, _packed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Mapping
 
 from .characters import _class_sum, character_row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
-from .partitions import Partition, coerce_same_size
-from .reductions import ReductionTrace, TraceStep, Zero, rectangle_reduce, two_row_formula
+from .partitions import Partition, coerce_same_size, conjugate
+from .reductions import ReductionTrace, TraceStep, Zero, _rectangle, two_row_formula
 
 __all__ = [
     "KroneckerExpansion",
@@ -45,7 +53,11 @@ def kron_coeff_direct(lam, mu, nu) -> int:
     Exact by construction; a non-integral or negative result would mean a
     bug upstream, so it raises rather than returning.
     """
-    lam, mu, nu = coerce_same_size(lam, mu, nu)
+    return _direct(*coerce_same_size(lam, mu, nu))
+
+
+def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """kron_coeff_direct on partitions coerce_same_size has already checked."""
     m = sum(lam)
     a, b, c = character_row(lam), character_row(mu), character_row(nu)
     total = 0
@@ -197,22 +209,52 @@ def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     return tuple(sorted((Partition(lam), Partition(mu), Partition(nu)), key=_role_key))
 
 
+# Conjugates for _dvir_bound.  It meets every partition the dispatcher gets
+# as far as the class sum, of any size, so the memo is capped.
+_conjugate = lru_cache(maxsize=1024)(conjugate)
+
+
+def _dvir_bound(cur) -> dict | None:
+    """Why Dvir's theorem (J. Algebra 154, 1993) makes k(cur) zero, or None.
+
+    If k(lam, mu, nu) != 0 then l(nu) <= |lam ∩ mu'|; as k(lam, mu, nu) =
+    k(lam, mu', nu'), also nu_1 <= |lam ∩ mu|.  cur is canonical and not
+    empty.  The length form takes the longest partition, cur[0], as nu; the
+    width form takes the widest one (the first on a tie) as nu.
+    """
+    x, y, z = cur
+    limit = sum(map(min, y, _conjugate(z)))
+    if len(x) > limit:
+        return {"bound": "dvir-length", "size": len(x), "limit": limit}
+    if x[0] >= y[0] and x[0] >= z[0]:
+        w, a, b = x, y, z
+    elif y[0] >= z[0]:
+        w, a, b = y, x, z
+    else:
+        w, a, b = z, x, y
+    limit = sum(map(min, a, b))
+    if w[0] > limit:
+        return {"bound": "dvir-width", "size": w[0], "limit": limit}
+    return None
+
+
 def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     """Fast-path evaluation of the coefficient, with a step-by-step trace.
 
     Pipeline: canonical sort, then repeated rectangle peeling (each round
     either proves the coefficient zero or strictly shrinks the triple),
-    then a closed formula when the remaining shape has one, otherwise the
-    direct class sum.  Always equals kron_coeff_direct on the input.
+    then a closed formula when the remaining shape has one, then Dvir's
+    bounds, otherwise the direct class sum.  Always equals
+    kron_coeff_direct on the input, which is validated once, here.
     """
     cur = coerce_same_size(lam, mu, nu)
     trace = ReductionTrace()
     while True:
-        ordered = canonical_triple(*cur)
+        ordered = tuple(sorted(cur, key=_role_key))
         if ordered != cur:
             trace.add(TraceStep("canonical-sort", before=cur, after=ordered))
             cur = ordered
-        decision = rectangle_reduce(*cur)
+        decision = _rectangle(cur)
         if decision is None:
             break
         if isinstance(decision, Zero):
@@ -225,7 +267,7 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     # cur is canonical here, so cur[0] is the longest partition.
     if not cur[0] and trace.steps and trace.steps[-1].theorem == "rectangle-reduce":
         # The peeling cancelled everything; the empty triple has coefficient 1.
-        trace.steps[-1] = replace(trace.steps[-1], value=1)
+        trace.steps[-1] = trace.steps[-1]._replace(value=1)
         return 1, trace
     if len(cur[0]) <= 2:
         value, info = two_row_formula(*cur)
@@ -240,6 +282,10 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     # two 2-row partitions give lengths (4, 2, 2), which rectangle_reduce
     # (p = 4 = 2*2) has already peeled or proved zero; and a one-row mu or
     # nu fails the hypothesis 2*lam3 <= nu2 = 0, since lam3 = lam4 > 0.
-    value = kron_coeff_direct(*cur)
+    bound = _dvir_bound(cur)
+    if bound is not None:
+        trace.add(TraceStep("vanishing", before=cur, after=cur, intermediates=bound, value=0))
+        return 0, trace
+    value = _direct(*cur)
     trace.add(TraceStep("direct", before=cur, after=cur, value=value))
     return value, trace

@@ -43,6 +43,16 @@ class Partition(tuple):
         if type(parts) is Partition and cls is Partition:
             return parts
         parts = tuple(parts)
+        # One pass for the common input, weakly decreasing plain ints with
+        # no trailing zero; anything else goes through the checks below.
+        prev = parts[0] if parts else 0
+        for a in parts:
+            if type(a) is not int or a > prev:
+                break
+            prev = a
+        else:
+            if prev > 0 or not parts:
+                return super().__new__(cls, parts)
         prev = None
         for a in parts:
             if not isinstance(a, int) or isinstance(a, bool):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .characters import skew_character
 from .errors import ShapeError
@@ -71,8 +72,7 @@ class RectangleFrame:
             raise ShapeError(f"need p = q*r, got p={self.p}, q={self.q}, r={self.r}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One dispatcher action: before/after triples plus step-specific data."""
 
     theorem: str
@@ -178,7 +178,11 @@ def rectangle_reduce(lam, mu, nu) -> Zero | Reduced | None:
     When the lengths satisfy p = q*r in argument order, a Zero verdict also
     means the shared-content pair count lr(lam, mu; nu) is zero.
     """
-    triple = coerce_same_size(lam, mu, nu)
+    return _rectangle(coerce_same_size(lam, mu, nu))
+
+
+def _rectangle(triple: Triple) -> Zero | Reduced | None:
+    """rectangle_reduce on a triple coerce_same_size has already checked."""
     lengths = [len(part) for part in triple]
     p = max(lengths)
     li = lengths.index(p)

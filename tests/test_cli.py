@@ -36,6 +36,36 @@ class TestCoeff:
         assert record["trace"][-1]["theorem"] == "vanishing"
         assert record["trace"][-1]["frame"] == {"p": 4, "q": 2, "r": 2, "t": 2}
 
+    @pytest.mark.parametrize(
+        "triple, bound, size, limit",
+        [
+            (("1,1,1", "1,1,1", "1,1,1"), "dvir-length", 3, 1),
+            (("2,2,1", "4,1", "4,1"), "dvir-width", 4, 3),
+        ],
+    )
+    def test_dvir_bound_trace(self, capsys, triple, bound, size, limit):
+        code, out, _ = run(capsys, "coeff", *triple, "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "0"
+        record = json.loads("\n".join(lines[1:]))
+        parts = [[int(a) for a in text.split(",")] for text in triple]
+        # The triple is canonical already, so the bound is the only step.
+        assert record == {
+            "input": parts,
+            "value": 0,
+            "method": "vanishing",
+            "trace": [
+                {
+                    "theorem": "vanishing",
+                    "before": parts,
+                    "after": parts,
+                    "intermediates": {"bound": bound, "size": size, "limit": limit},
+                    "value": 0,
+                }
+            ],
+        }
+
     def test_method_direct(self, capsys):
         code, out, _ = run(capsys, "coeff", "2,2,2,2", "4,4", "4,4", "--method=direct")
         assert code == 0
@@ -175,6 +205,12 @@ class TestTable:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[fmt]
 
+    def test_degree_eight_all_orderings_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "table", "8", "--all-orderings", "--format", "json")
+        assert code == 0
+        digest = "a27e80a7cf0adeecc747a2d1dac75e24f9e556e3685c70d952c01b7a74aaadf8"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_trivial_all(self, capsys):
@@ -243,6 +279,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-m", "5", "--suite", "dispatch")
         assert code == 0
         assert out == "dispatch: PASS (505 instances)\n"  # 1+1+8+27+125+343 triples
+
+    def test_all_to_eight_is_pinned(self, capsys):
+        # sha256 of the stdout of `verify --suite all --max-m 8 --jobs 1`.
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--max-m", "8", "--jobs", "1")
+        assert code == 0
+        digest = "21974eafb09b6e17491522e239f00ff84bc74b04636c709d0b4a7cc640effa1f"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_dispatch_to_eight(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "dispatch", "--max-m", "8")
+        assert code == 0
+        assert out == "dispatch: PASS (15859 instances)\n"
 
     def test_rejects_bad_sizes(self, capsys):
         for argv in (["--max-m", "-3"], ["--max-m", "2", "--jobs", "0"]):

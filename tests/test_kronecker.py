@@ -1,6 +1,8 @@
 import json
 import re
-from itertools import permutations
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,3 +253,44 @@ class TestDispatcher:
         lam, mu, nu = triple
         # chi^{lam'} = sgn chi^lam, and sgn^2 = 1 (Macdonald, I.7).
         assert kron_coeff(conjugate(lam), conjugate(mu), nu)[0] == want
+
+
+@lru_cache(maxsize=None)
+def dvir_fires(m):
+    """(triple, step) for each canonical triple of m that a Dvir bound ends."""
+    fires = []
+    for triple in combinations_with_replacement(partitions_of(m), 3):
+        step = kron_coeff(*triple)[1].steps[-1]
+        if "bound" in (step.intermediates or {}):
+            fires.append((triple, step))
+    return fires
+
+
+class TestDvirBounds:
+    # (dvir-length, dvir-width) fires over the canonical triples of each m.
+    FIRES = {
+        0: (0, 0), 1: (0, 0), 2: (0, 0), 3: (4, 0), 4: (13, 0),
+        5: (37, 1), 6: (111, 8), 7: (267, 22), 8: (717, 95), 9: (1640, 263),
+    }
+
+    @pytest.mark.parametrize("m", sorted(FIRES))
+    def test_a_fired_bound_means_zero(self, m):
+        for triple, step in dvir_fires(m):
+            assert kron_coeff_direct(*triple) == 0, triple
+            assert step.theorem == "vanishing" and step.value == 0
+            assert step.frame is None and step.before == step.after
+            assert step.intermediates["size"] > step.intermediates["limit"]
+
+    @pytest.mark.parametrize("m", sorted(FIRES))
+    def test_fire_counts_are_pinned(self, m):
+        counts = Counter(step.intermediates["bound"] for _, step in dvir_fires(m))
+        assert (counts["dvir-length"], counts["dvir-width"]) == self.FIRES[m]
+        assert set(counts) <= {"dvir-length", "dvir-width"}
+
+    def test_length_form_before_width_form(self):
+        # Both forms hold on ((1, 1, 1), (3), (3)): l = 3 > |(3) ∩ (3)'| = 1
+        # and 3 > |(1, 1, 1) ∩ (3)| = 1.  The length form, tried first, names
+        # the step.
+        _, trace = kron_coeff((3,), (3,), (1, 1, 1))
+        assert trace.method == "vanishing"
+        assert trace.steps[-1].intermediates == {"bound": "dvir-length", "size": 3, "limit": 1}

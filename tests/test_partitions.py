@@ -73,6 +73,55 @@ class TestPartitionType:
         with pytest.raises(PartitionError):
             Partition([1, 3])
 
+    # Each rejected input with the message the checks give it, the first
+    # failing part deciding.  The one-pass path for plain weakly decreasing
+    # ints must hand every one of these on to the checks unchanged.
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ((True,), "partition parts must be integers, got True"),
+            ((2, False), "partition parts must be integers, got False"),
+            ((1, 1, True), "partition parts must be integers, got True"),
+            ((2.0, 1.0), "partition parts must be integers, got 2.0"),
+            ((3, 1.5), "partition parts must be integers, got 1.5"),
+            (("3",), "partition parts must be integers, got '3'"),
+            ((3, "2"), "partition parts must be integers, got '2'"),
+            ((None,), "partition parts must be integers, got None"),
+            ((2, -1), "negative part -1 in (2, -1)"),
+            ((-1,), "negative part -1 in (-1,)"),
+            ((0, -1), "negative part -1 in (0, -1)"),
+            ((1, 3), "parts not weakly decreasing: (1, 3)"),
+            ((3, 1, 2), "parts not weakly decreasing: (3, 1, 2)"),
+            ((3, 0, 1), "parts not weakly decreasing: (3, 0, 1)"),
+            ((0, 1), "parts not weakly decreasing: (0, 1)"),
+            ((2, 0, 0, 1), "parts not weakly decreasing: (2, 0, 0, 1)"),
+        ],
+    )
+    def test_rejection_messages(self, raw, message):
+        with pytest.raises(PartitionError) as exc:
+            Partition(raw)
+        assert str(exc.value) == message
+
+    def test_int_subclass_parts_accepted(self):
+        class Part(int):
+            pass
+
+        got = Partition((Part(3), Part(1), Part(1), Part(0)))
+        assert got == Partition((3, 1, 1)) and len(got) == 3
+        with pytest.raises(PartitionError, match="not weakly decreasing"):
+            Partition((Part(1), 2))
+
+    @given(st.lists(st.integers(-2, 4), max_size=6))
+    def test_accepts_exactly_the_partitions(self, raw):
+        valid = all(a >= 0 for a in raw) and all(a >= b for a, b in zip(raw, raw[1:]))
+        if valid:
+            while raw and raw[-1] == 0:
+                raw.pop()
+            assert tuple(Partition(raw)) == tuple(raw)
+        else:
+            with pytest.raises(PartitionError):
+                Partition(raw)
+
     def test_size_length_part(self):
         lam = Partition((4, 2, 1))
         assert lam.size == 7
