@@ -43,23 +43,14 @@ class Partition(tuple):
         if type(parts) is Partition and cls is Partition:
             return parts
         parts = tuple(parts)
-        # One pass for the common input, weakly decreasing plain ints with
-        # no trailing zero; anything else goes through the checks below.
         prev = parts[0] if parts else 0
         for a in parts:
-            if type(a) is not int or a > prev:
-                break
-            prev = a
-        else:
-            if prev > 0 or not parts:
-                return super().__new__(cls, parts)
-        prev = None
-        for a in parts:
-            if not isinstance(a, int) or isinstance(a, bool):
+            # The exact type test first: a plain int skips the two isinstance calls.
+            if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)):
                 raise PartitionError(f"partition parts must be integers, got {a!r}")
             if a < 0:
                 raise PartitionError(f"negative part {a} in {parts!r}")
-            if prev is not None and a > prev:
+            if a > prev:
                 raise PartitionError(f"parts not weakly decreasing: {parts!r}")
             prev = a
         end = len(parts)

@@ -74,8 +74,8 @@ class TestPartitionType:
             Partition([1, 3])
 
     # Each rejected input with the message the checks give it, the first
-    # failing part deciding.  The one-pass path for plain weakly decreasing
-    # ints must hand every one of these on to the checks unchanged.
+    # failing part deciding.  Partition.__new__ runs its type, sign and
+    # order checks in that order on each part, so these messages are fixed.
     @pytest.mark.parametrize(
         "raw, message",
         [
