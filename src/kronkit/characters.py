@@ -6,10 +6,12 @@ are the partitions of n - k with parts <= k, the last p(n - k, <= k)
 entries of cycle_types(n - k).  So Murnaghan-Nakayama on the largest part
 (James & Kerber 1981, 2.4) is a vector identity: block k of the row of lam
 is the signed sum of those suffixes of the rows of the shapes one k-strip
-smaller than lam.  Shapes are int-bitmask beta-sets, and one memo keeps
-each shape's row cut down to the classes with parts <= K for the largest K
-asked of it.  mn_value makes the same strip moves over the parts of one
-cycle type, for single values at sizes where no row fits in memory.
+smaller than lam.  Shapes are int-bitmask beta-sets, and one memo, _rows,
+keeps each shape's row cut down to the classes with parts <= K for the
+largest K asked of it.  Its entries grow in place, so it is a plain dict
+under a lock; every other memo here is an lru_cache of one key.  mn_value
+makes the same strip moves over the parts of one cycle type, for single
+values at sizes where no row fits in memory.
 
 Class sizes, hook-length dimensions, and inner products round out the
 ground-truth layer that every fast path in the package is checked against.
@@ -28,7 +30,7 @@ from typing import Callable, Iterable
 
 from .errors import ExactnessError, ShapeError, SizeMismatchError
 from .lr import lr_coeff, perm_character_decomp
-from .partitions import Composition, Partition, SkewShape, partitions_of
+from .partitions import Composition, Partition, SkewShape, cycle_types, partitions_of
 
 __all__ = [
     "CycleType",
@@ -51,50 +53,28 @@ __all__ = [
 CycleType = Partition
 
 
-@lru_cache(maxsize=None)
-def cycle_types(n: int) -> tuple[Partition, ...]:
-    """Conjugacy classes of S_n as cycle types, in reverse lex order."""
-    return tuple(partitions_of(n))
-
-
-# Guards the two growing tables below: _COUNTS and _rows.
+# Guards _rows below, the one memo whose entries grow in place.
 _lock = threading.Lock()
 
-# _COUNTS[j][k] is p(j, <= k), the number of partitions of j with parts
-# <= k, for 0 <= k <= j.  Rows are only appended, each one whole.
-_COUNTS: list[tuple[int, ...]] = [(1,)]
+
+@lru_cache(maxsize=None)
+def _counts(n: int) -> tuple[tuple[int, ...], ...]:
+    """counts[j][k] is p(j, <= k), the number of partitions of j with parts
+    <= k, for 0 <= k <= j <= n."""
+    counts = [(1,)]
+    for j in range(1, n + 1):
+        row = [0]
+        for k in range(1, j + 1):
+            row.append(row[-1] + counts[j - k][min(k, j - k)])
+        counts.append(tuple(row))
+    return tuple(counts)
 
 
-def _counts(n: int) -> list[tuple[int, ...]]:
-    """The table _COUNTS, grown to hold every j <= n."""
-    if len(_COUNTS) <= n:
-        with _lock:
-            for j in range(len(_COUNTS), n + 1):
-                row = [0]
-                for k in range(1, j + 1):
-                    row.append(row[-1] + _COUNTS[j - k][min(k, j - k)])
-                _COUNTS.append(tuple(row))
-    return _COUNTS
-
-
-def _class_index(rho: Partition) -> int:
-    """The position of rho in cycle_types(|rho|), counted rather than searched.
-
-    Before rho come the partitions whose first part is larger, then those
-    that share rho's first part and have a larger second part, and so on:
-    each part adds p(left, <= previous part) - p(left, <= part), where left
-    is what remains of n before that part, so a repeated part adds nothing.
-    """
-    left = prev = rho.size
-    counts = _counts(left)
-    index = 0
-    for part in rho:
-        if part != prev:
-            row = counts[left]
-            index += row[min(prev, left)] - row[part]
-            prev = part
-        left -= part
-    return index
+@lru_cache(maxsize=None)
+def _places(n: int) -> dict[Partition, int]:
+    """The position of each cycle type in cycle_types(n).  One dict per n
+    is shared by every caller, and none writes to it."""
+    return {rho: i for i, rho in enumerate(cycle_types(n))}
 
 
 def _centralizer(rho: Partition) -> int:
@@ -283,7 +263,7 @@ class CharacterVector:
         rho = Partition(rho)
         if rho.size != self.degree:
             raise SizeMismatchError(f"|{rho!r}| = {rho.size} but the degree is {self.degree}")
-        return self.row[_class_index(rho)]
+        return self.row[_places(self.degree)[rho]]
 
     def tensor(self, other: "CharacterVector") -> "CharacterVector":
         if self.degree != other.degree:

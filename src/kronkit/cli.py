@@ -11,19 +11,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
 from . import verify as verify_mod
 from .errors import PartitionError, ShapeError, SizeMismatchError
 from .kronecker import _role_key, kron_coeff, kron_coeff_direct, kron_expand
-from .partitions import (
-    Partition,
-    coerce_same_size,
-    format_partition,
-    parse_partition,
-    partitions_of,
-)
+from .partitions import coerce_same_size, format_partition, parse_partition, partitions_of
 from .reductions import (
     ReductionTrace,
     TraceStep,
@@ -41,23 +34,8 @@ EXIT_CAP = 5
 
 DEFAULT_TABLE_CAP = 12
 
-
-@dataclass
-class OutputRecord:
-    """One answered query: the inputs, the value, and how it was obtained."""
-
-    input: tuple[Partition, Partition, Partition]
-    value: int
-    method: str
-    trace: ReductionTrace
-
-    def to_obj(self) -> dict:
-        return {
-            "input": [list(p) for p in self.input],
-            "value": self.value,
-            "method": self.method,
-            "trace": self.trace.to_obj(),
-        }
+# The exit code for each error main() reports.
+_EXIT_CODES = {PartitionError: EXIT_PARSE, SizeMismatchError: EXIT_SIZE, ShapeError: EXIT_METHOD}
 
 
 def _single_step_trace(theorem: str, triple, value: int, intermediates=None) -> ReductionTrace:
@@ -98,8 +76,13 @@ def _cmd_coeff(args) -> int:
             trace = _single_step_trace("formula-422", triple, value, info)
     print(value)
     if args.trace:
-        record = OutputRecord(input=triple, value=value, method=trace.method, trace=trace)
-        print(json.dumps(record.to_obj(), indent=2))
+        record = {
+            "input": [list(p) for p in triple],
+            "value": value,
+            "method": trace.method,
+            "trace": trace.to_obj(),
+        }
+        print(json.dumps(record, indent=2))
     return EXIT_OK
 
 
@@ -227,15 +210,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PartitionError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METHOD
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entry() -> None:

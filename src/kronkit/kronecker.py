@@ -21,7 +21,8 @@ carry into its neighbour, so a wrong row still fails the division by m!
 rather than aliasing.  Only one nu of each conjugate pair has a field:
 chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
 classes and B over the odd ones, A + B holds the totals for nu and A - B
-those for nu'.  The packed columns are kept in one memo per m, _packed.
+those for nu'.  _pack(m), an lru_cache like every memo here, keeps the
+packed columns of S_m.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Mapping
 
-from .characters import _class_sum, character_row, class_weights, cycle_sign, cycle_types
+from .characters import _class_sum, _places, character_row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .partitions import Partition, coerce_same_size, conjugate
 from .reductions import ReductionTrace, TraceStep, Zero, _rectangle, two_row_formula
@@ -126,15 +127,11 @@ def _ones(width: int, count: int) -> int:
     return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
 
 
-# m -> the packed character table of S_m, built on first use.  Two threads
-# may both build one; they store equal values, so either may win.
-_packed: dict[int, _Packed] = {}
-
-
+@lru_cache(maxsize=None)
 def _pack(m: int) -> _Packed:
     """The rows of one nu of each conjugate pair, packed column by column."""
     types = cycle_types(m)
-    place = {nu: i for i, nu in enumerate(types)}
+    place = _places(m)
     pairs = []
     for i, nu in enumerate(types):
         j = place[nu.conjugate()]
@@ -179,9 +176,7 @@ def kron_expand(lam, mu) -> KroneckerExpansion:
     packed class sums (see the module docstring)."""
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
-    packed = _packed.get(m)
-    if packed is None:
-        packed = _packed[m] = _pack(m)
+    packed = _pack(m)
     tensor = [
         w * x * y for w, x, y in zip(class_weights(m), character_row(lam), character_row(mu))
     ]
@@ -206,7 +201,7 @@ def _role_key(p: Partition):
 def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     """Sorted by length descending, then lexicographically; the order the
     reduction machinery expects (longest partition in the first slot)."""
-    return tuple(sorted((Partition(lam), Partition(mu), Partition(nu)), key=_role_key))
+    return tuple(sorted(coerce_same_size(lam, mu, nu), key=_role_key))
 
 
 # Conjugates for _dvir_bound.  It meets every partition the dispatcher gets
@@ -265,8 +260,9 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
         )
         cur = decision.triple
     # cur is canonical here, so cur[0] is the longest partition.
-    if not cur[0] and trace.steps and trace.steps[-1].theorem == "rectangle-reduce":
+    if not cur[0] and trace.steps:
         # The peeling cancelled everything; the empty triple has coefficient 1.
+        # It is sorted already, so the last step is the peel.
         trace.steps[-1] = trace.steps[-1]._replace(value=1)
         return 1, trace
     if len(cur[0]) <= 2:

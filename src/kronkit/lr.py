@@ -13,7 +13,7 @@ from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeMismatchError
-from .partitions import Composition, Partition, SkewShape, _partitions_between, partitions_of
+from .partitions import Composition, Partition, SkewShape, _partitions_between, cycle_types
 
 __all__ = [
     "lr_coeff",
@@ -51,8 +51,6 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
     if not cells:
         return 1
     nvals = len(content)
-    if nvals == 0:
-        return 0
     grid = [[0] * outer[i] for i in range(rows)]
     counts = [0] * (nvals + 1)
     total, idx, end, used = 0, 0, len(cells), 0
@@ -116,12 +114,6 @@ def _multi(lam: tuple[int, ...], contents: tuple[tuple[int, ...], ...]) -> int:
     return layer.get((), 0)
 
 
-@lru_cache(maxsize=None)
-def _contents(k: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions of k, as the contents one part of pi can carry."""
-    return tuple(map(tuple, partitions_of(k)))
-
-
 def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> int:
     """Pairs of LR multitableaux of shapes lam and mu sharing their contents.
 
@@ -136,7 +128,7 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
         raise SizeMismatchError(
             f"sizes differ: |{lam!r}|={lam.size}, |{mu!r}|={mu.size}, |{pi!r}|={pi.size}"
         )
-    pools = [_contents(k) for k in sorted(pi, reverse=True)]
+    pools = [cycle_types(k) for k in sorted(pi, reverse=True)]
     lam_t, mu_t = tuple(lam), tuple(mu)
     total = 0
     for contents in product(*pools):

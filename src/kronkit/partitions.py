@@ -7,6 +7,7 @@ freely (including across threads) and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -230,6 +231,13 @@ def partitions_of(
     # so they become Partitions without passing the checks again.
     for parts in _partitions_between(m, (0,) * rows, (width,) * rows):
         yield tuple.__new__(Partition, parts)
+
+
+@lru_cache(maxsize=None)
+def cycle_types(n: int) -> tuple[Partition, ...]:
+    """Conjugacy classes of S_n as cycle types, in reverse lex order: the
+    partitions of n, kept once per n for characters and lr alike."""
+    return tuple(partitions_of(n))
 
 
 def _partitions_between(

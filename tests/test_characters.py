@@ -234,6 +234,10 @@ class TestInnerProduct:
         with pytest.raises(SizeMismatchError):
             inner_product(irreducible_character((2,)), irreducible_character((2, 1)))
 
+    def test_tensor_degree_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            irreducible_character((2,)).tensor(irreducible_character((2, 1)))
+
     def test_non_exact_division_raises(self):
         fake = CharacterVector(2, (1, 0))
         triv = irreducible_character((2,))

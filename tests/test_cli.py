@@ -9,7 +9,8 @@ import pytest
 
 import kronkit.verify as verify_mod
 from kronkit.cli import main
-from kronkit.partitions import format_partition, partitions_of
+from kronkit.kronecker import kron_coeff_direct
+from kronkit.partitions import format_partition, parse_partition, partitions_of
 from kronkit.verify import ALL_SUITES, SweepResult
 
 
@@ -79,6 +80,30 @@ class TestCoeff:
         record = json.loads("\n".join(lines[1:]))
         assert record["method"] == "formula-2row"
         assert record["trace"][-1]["intermediates"] == {"x": 0, "y": 2}
+
+    def test_method_formula_four_two_two(self, capsys):
+        # Four rows rule out the two-row formula, so the (4, 2, 2) one answers.
+        triple = ("3,2,1,1", "4,3", "4,3")
+        code, out, _ = run(capsys, "coeff", *triple, "--method=formula", "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "1" == str(kron_coeff_direct(*map(parse_partition, triple)))
+        record = json.loads("\n".join(lines[1:]))
+        parts = [[3, 2, 1, 1], [4, 3], [4, 3]]
+        assert record == {
+            "input": parts,
+            "value": 1,
+            "method": "formula-422",
+            "trace": [
+                {
+                    "theorem": "formula-422",
+                    "before": parts,
+                    "after": parts,
+                    "intermediates": {"x": 0, "y": 1, "z": 1, "case": 1},
+                    "value": 1,
+                }
+            ],
+        }
 
     def test_method_formula_not_applicable(self, capsys):
         code, _, err = run(capsys, "coeff", "2,2,1", "3,2", "3,2", "--method=formula")

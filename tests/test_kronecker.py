@@ -19,6 +19,7 @@ from kronkit import (
     kron_coeff_direct,
     kron_expand,
 )
+from kronkit.kronecker import _pack
 from kronkit.partitions import partitions_of
 
 
@@ -92,7 +93,7 @@ class TestExactnessGuard:
     def test_bad_class_sums_raise(self, monkeypatch, row):
         monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
         # kron_expand must pack the patched rows, not an S_2 table packed earlier.
-        monkeypatch.setattr("kronkit.kronecker._packed", {})
+        monkeypatch.setattr("kronkit.kronecker._pack", lru_cache(maxsize=None)(_pack.__wrapped__))
         triple = (Partition((2,)), Partition((1, 1)), Partition((2,)))
         with pytest.raises(ExactnessError, match=re.escape(f"class sum for {triple!r} gave")):
             kron_coeff_direct(*triple)
@@ -110,7 +111,7 @@ class TestExactnessGuard:
     )
     def test_huge_rows_raise_on_their_own_total(self, monkeypatch, row):
         monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
-        monkeypatch.setattr("kronkit.kronecker._packed", {})
+        monkeypatch.setattr("kronkit.kronecker._pack", lru_cache(maxsize=None)(_pack.__wrapped__))
         total = 2 * row[0] ** 3 + 3 * row[1] ** 3 + row[2] ** 3
         assert total % 6 or total < 0
         pair = (Partition((2, 1)), Partition((1, 1, 1)))
@@ -182,6 +183,10 @@ class TestCanonicalTriple:
     def test_sorts_longest_first(self):
         got = canonical_triple((5, 3), (2, 2, 2, 2), (4, 4))
         assert got == (Partition((2, 2, 2, 2)), Partition((4, 4)), Partition((5, 3)))
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            canonical_triple((1,), (2,), (3,))
 
 
 class TestDispatcher:

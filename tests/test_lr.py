@@ -113,6 +113,10 @@ class TestLrPairCount:
         digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
         assert digest == "edc3c3c0f7fbcea19b129eb5c2a4d70138386120cd00662e1ac824d0295a7b8d"
 
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            lr_pair_count((2, 1), (2, 1), (2,))
+
     def test_composition_order_irrelevant(self):
         assert lr_pair_count((3, 1), (2, 2), (1, 3)) == lr_pair_count((3, 1), (2, 2), (3, 1))
 
@@ -133,6 +137,10 @@ class TestKostka:
         assert kostka((2, 1), (2, 1)) == 1
         assert kostka((2, 1), (1, 1, 1)) == 2
         assert kostka((1, 1), (2,)) == 0
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            kostka((2, 1), (2,))
 
     def test_diagonal_is_one(self):
         for m in range(7):

@@ -1,0 +1,44 @@
+"""Every per-size memo in kronkit is an lru_cache, except the character-row
+memo characters._rows, whose entries grow in place.  A reporter of memo
+sizes and hit rates can then read them all through cache_info()."""
+
+import sys
+
+import kronkit
+import kronkit.cli  # noqa: F401  (with verify, the modules the package does not import)
+from kronkit import characters, kronecker, lr, partitions
+
+MEMOS = [
+    partitions.cycle_types,
+    characters.class_weights,
+    characters._counts,
+    characters._places,
+    characters._beta_set,
+    lr._lr,
+    lr._multi,
+    lr._decomp,
+    kronecker._pack,
+    kronecker._conjugate,
+]
+
+
+def test_every_memo_has_cache_info():
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.currsize >= 0, memo
+
+
+def test_no_memo_is_left_off_the_list():
+    # A new lru_cache anywhere in the package must join MEMOS on purpose.
+    found = {
+        id(value): name
+        for module_name, module in sys.modules.items()
+        if module_name.split(".")[0] == "kronkit"
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert set(found) == set(map(id, MEMOS)), sorted(found.values())
+
+
+def test_cycle_types_is_one_memo():
+    assert kronkit.cycle_types is characters.cycle_types is partitions.cycle_types
