@@ -6,16 +6,20 @@ are the partitions of n - k with parts <= k, the last p(n - k, <= k)
 entries of cycle_types(n - k).  So Murnaghan-Nakayama on the largest part
 (James & Kerber 1981, 2.4) is a vector identity: block k of the row of lam
 is the signed sum of those suffixes of the rows of the shapes one k-strip
-smaller than lam.  Shapes are int-bitmask beta-sets, and one memo, _rows,
-keeps each shape's row cut down to the classes with parts <= K for the
-largest K asked of it.  Its entries grow in place, so it is a plain dict
-under a lock; every other memo here is an lru_cache of one key.  mn_value
-makes the same strip moves over the parts of one cycle type, for single
-values at sizes where no row fits in memory.
+smaller than lam.  The last block, the identity class alone, is f^lam,
+which _dim reads off the hook lengths of the beta-set (Frame, Robinson &
+Thrall 1954), so no shape is queued for its 1-strips.  Shapes are
+int-bitmask beta-sets, and one memo, _rows, keeps each shape's row cut
+down to the classes with parts <= K for the largest K asked of it.  Its
+entries grow in place, so it is a plain dict under a lock; every other
+memo here is an lru_cache of one key.  mn_value makes the same strip moves
+over the parts of one cycle type, for single values at sizes where no row
+fits in memory.
 
-Class sizes, hook-length dimensions, and inner products round out the
-ground-truth layer that every fast path in the package is checked against.
-A class function is one integer row in cycle_types(n) order.
+Class sizes, dimensions (by the same hook lengths), and inner products
+round out the ground-truth layer that every fast path in the package is
+checked against.  A class function is one integer row in cycle_types(n)
+order.
 All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 """
 
@@ -132,6 +136,24 @@ def _strips(mask: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
+def _dim(mask: int) -> int:
+    """f^lam, the number of standard tableaux of the shape with beta-set mask,
+    by the hook length formula (Frame, Robinson & Thrall 1954).
+
+    The hooks of the row whose bead is at b are b - e for each gap e < b,
+    so the gaps below the beads count the cells as well.
+    """
+    hooks, cells, gaps = 1, 0, []
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            for e in gaps:
+                hooks *= b - e
+            cells += len(gaps)
+        else:
+            gaps.append(b)
+    return math.factorial(cells) // hooks
+
+
 # shape mask -> chi at the classes of its size whose parts are <= K, for
 # the largest K asked of that shape so far: the last p(j, <= K) entries of
 # its row, the whole row when K = j.  An entry is only ever replaced by a
@@ -155,7 +177,7 @@ def _fill(mask: int, n: int) -> tuple[int, ...]:
                 have[shape] = row
                 continue
             moves = []
-            for k in range(top, 0, -1):
+            for k in range(top, 1, -1):
                 below, bound = need[j - k], min(k, j - k)
                 strips = _strips(shape, k)
                 for smaller, _ in strips:
@@ -163,8 +185,9 @@ def _fill(mask: int, n: int) -> tuple[int, ...]:
                         below[smaller] = bound
                 moves.append((counts[j - k][bound], strips))
             todo.append((shape, moves))
-    # Fill pass, from small sizes up: block k of a row is the signed sum of
-    # the last p(j - k, <= k) entries of the rows one k-strip smaller.
+    # Fill pass, from small sizes up: block k > 1 of a row is the signed sum
+    # of the last p(j - k, <= k) entries of the rows one k-strip smaller, and
+    # block 1, the identity class alone, is the number of standard tableaux.
     for shape, moves in reversed(todo):
         out = []
         for width, strips in moves:
@@ -172,6 +195,7 @@ def _fill(mask: int, n: int) -> tuple[int, ...]:
             for smaller, odd in strips:
                 block = map(sub if odd else add, block, have[smaller][-width:])
             out.extend(block)
+        out.append(_dim(shape))
         have[shape] = tuple(out)
     with _lock:
         for shape, _ in todo:
@@ -217,13 +241,7 @@ def dimension(lam: Iterable[int]) -> int:
 
     Used as an independent cross-check of mn_value at the identity class.
     """
-    lam = Partition(lam)
-    conj = lam.conjugate()
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    return math.factorial(lam.size) // hooks
+    return _dim(_beta_set(Partition(lam)))
 
 
 def cycle_sign(rho: Iterable[int]) -> int:

@@ -121,11 +121,13 @@ def _cmd_table(args) -> int:
                 rows.append((a, b, c, value))
     text = {p: format_partition(p) for p in parts}
     if args.format == "json":
-        obj = [
-            {"lambda": text[a], "mu": text[b], "nu": text[c], "k": value}
-            for a, b, c, value in rows
-        ]
-        print(json.dumps(obj, indent=2))
+        # json.dumps(indent=2) of the row dicts, byte for byte, without its
+        # pure-Python encoder: each text is encoded once, and rows is never
+        # empty, since k((m), (m), (m)) = 1.
+        quoted = {p: json.dumps(t) for p, t in text.items()}
+        row = '  {{\n    "lambda": {},\n    "mu": {},\n    "nu": {},\n    "k": {}\n  }}'.format
+        body = ",\n".join([row(quoted[a], quoted[b], quoted[c], value) for a, b, c, value in rows])
+        print(f"[\n{body}\n]")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "k"])

@@ -2,6 +2,12 @@
 
 Everything in this module is immutable and pure, so values can be shared
 freely (including across threads) and used as dict keys.
+
+Two loops enumerate partitions, both in reverse lexicographic order and
+without recursion.  ZS1 (Zoghbi & Stojmenovic 1998) lists every partition
+of n, for cycle_types and an unbounded partitions_of.  _partitions_between
+serves the bounded queries: partitions_of with max_length or max_part, the
+sub-shapes of a shape, and horizontal strips.
 """
 
 from __future__ import annotations
@@ -128,9 +134,6 @@ class Rectangle:
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"rectangle sides must be positive: {self.width}x{self.height}")
 
-    def as_partition(self) -> Partition:
-        return Partition((self.width,) * self.height)
-
 
 @dataclass(frozen=True)
 class SkewShape:
@@ -227,6 +230,9 @@ def partitions_of(
         raise PartitionError(f"cannot partition the negative integer {m}")
     rows = m if max_length is None else max(0, min(max_length, m))
     width = m if max_part is None else min(max_part, m)
+    if rows == width == m:
+        yield from _zs1(m)
+        return
     # The enumerator's tuples are weakly decreasing positive ints already,
     # so they become Partitions without passing the checks again.
     for parts in _partitions_between(m, (0,) * rows, (width,) * rows):
@@ -238,6 +244,46 @@ def cycle_types(n: int) -> tuple[Partition, ...]:
     """Conjugacy classes of S_n as cycle types, in reverse lex order: the
     partitions of n, kept once per n for characters and lr alike."""
     return tuple(partitions_of(n))
+
+
+def _zs1(n: int) -> Iterator[Partition]:
+    """Every partition of n >= 0, in reverse lexicographic order, by ZS1
+    (Zoghbi & Stojmenovic, Int. J. Comput. Math. 66, 1998).
+
+    x[:m] is the current partition; its parts after x[h] are all 1, and
+    every entry past x[m - 1] is 1 too.  The next partition takes one cell
+    off x[h] and deals the ones after it out again in parts of that new
+    size, so each step costs about as much as the parts it writes.
+    """
+    if not n:
+        yield Partition()
+        return
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    new = tuple.__new__
+    yield new(Partition, x[:1])
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+            else:
+                m = h + 1
+        yield new(Partition, x[:m])
 
 
 def _partitions_between(

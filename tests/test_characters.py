@@ -31,9 +31,15 @@ from kronkit import (
     skew,
     skew_character,
 )
-from kronkit.characters import _counts
+from kronkit.characters import _beta_set, _counts, _dim
 from kronkit.partitions import partitions_of
-from oracles import border_strip_value, brute_lr_count, brute_partitions, cycle_assignment_count
+from oracles import (
+    border_strip_value,
+    brute_lr_count,
+    brute_partitions,
+    brute_ssyt_count,
+    cycle_assignment_count,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -150,6 +156,23 @@ class TestCharacterRow:
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == sum(len(cycle_types(n)) for n in range(15))
 
+    def test_no_row_is_filled_for_its_identity_value_alone(self):
+        # The identity entry comes from hook lengths, so a cold row queues
+        # only the shapes that its k-strips for k >= 2 reach, and no length-1
+        # entry but those of the shapes of size 0 and 1.
+        script = (
+            "from kronkit import character_row\n"
+            "from kronkit.characters import _rows\n"
+            "character_row((6, 5, 4, 3, 2, 2, 1, 1))\n"
+            "print(len(_rows), sum(len(row) == 1 for row in _rows.values()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["258", "2"]
+
     def test_bounded_partition_counts(self):
         counts = _counts(30)
         for j in range(31):
@@ -162,6 +185,16 @@ class TestDimension:
         assert dimension((5,)) == 1
         assert dimension((2, 1)) == 2
         assert dimension((2, 2)) == 2
+
+    def test_hooks_of_the_mask_count_standard_tableaux(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                assert _dim(_beta_set(lam)) == brute_ssyt_count(lam, (1,) * n)
+
+    def test_hooks_of_the_mask_examples(self):
+        assert _dim(_beta_set((15, 15))) == 9_694_845  # Catalan(15)
+        assert _dim(_beta_set((2999, 1))) == 2999
+        assert _dim(0) == 1
 
 
 class TestCharacterTable:

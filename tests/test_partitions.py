@@ -9,6 +9,7 @@ from kronkit import (
     ShapeError,
     add_rectangle,
     conjugate,
+    cycle_types,
     format_partition,
     intersect,
     kron_coeff,
@@ -17,6 +18,7 @@ from kronkit import (
     skew,
     subtract_rectangle,
 )
+from kronkit.characters import _counts
 from kronkit.lr import _hstrips
 from kronkit.partitions import _partitions_between
 from oracles import (
@@ -286,9 +288,36 @@ class TestPartitionsOf:
             list(partitions_of(-1))
 
 
+class TestCycleTypes:
+    """ZS1, the generator behind cycle_types and the unbounded partitions_of,
+    against the bounded enumerator with bounds that bind nothing."""
+
+    def test_matches_the_bounded_enumerator(self):
+        for n in range(41):
+            got = cycle_types(n)
+            assert list(got) == list(_partitions_between(n, (0,) * n, (n,) * n))
+            assert len(got) == _counts(n)[n][n]
+            assert all(type(p) is Partition for p in got)
+
+    def test_empty_and_negative(self):
+        assert cycle_types(0) == ((),)
+        with pytest.raises(PartitionError) as want:
+            list(partitions_of(-1))
+        with pytest.raises(PartitionError) as got:
+            cycle_types(-1)
+        assert str(got.value) == str(want.value)
+
+    def test_unbounded_partitions_of(self):
+        for m in range(26):
+            assert tuple(partitions_of(m)) == cycle_types(m)
+        # lazily: the first of p(3000) partitions comes without the rest
+        assert next(partitions_of(3000)) == (3000,)
+
+
 class TestPartitionsBetween:
-    """The one enumerator behind partitions_of and the tableau counters,
-    against filters over every partition of the size, order included."""
+    """The enumerator behind the bounded partitions_of and the tableau
+    counters, against filters over every partition of the size, order
+    included."""
 
     def test_sub_shapes(self):
         for m in range(13):
