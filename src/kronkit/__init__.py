@@ -53,12 +53,9 @@ from .characters import (
 )
 from .reductions import (
     RectangleFrame,
-    Reduced,
     ReductionTrace,
     TraceStep,
-    Zero,
     ceil_half,
-    dvir_reduce,
     four_two_two_formula,
     rectangle_reduce,
     stability_inflate,
@@ -67,6 +64,7 @@ from .reductions import (
 from .kronecker import (
     KroneckerExpansion,
     canonical_triple,
+    dvir_reduce,
     kron_coeff,
     kron_coeff_direct,
     kron_expand,

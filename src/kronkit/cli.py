@@ -15,15 +15,9 @@ from itertools import combinations_with_replacement, permutations
 
 from . import verify as verify_mod
 from .errors import PartitionError, ShapeError, SizeMismatchError
-from .kronecker import _role_key, kron_coeff, kron_coeff_direct, kron_expand
+from .kronecker import _role_key, dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .partitions import coerce_same_size, format_partition, parse_partition, partitions_of
-from .reductions import (
-    ReductionTrace,
-    TraceStep,
-    dvir_reduce,
-    four_two_two_formula,
-    two_row_formula,
-)
+from .reductions import ReductionTrace, TraceStep, four_two_two_formula, two_row_formula
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -38,42 +32,28 @@ DEFAULT_TABLE_CAP = 12
 _EXIT_CODES = {PartitionError: EXIT_PARSE, SizeMismatchError: EXIT_SIZE, ShapeError: EXIT_METHOD}
 
 
-def _single_step_trace(theorem: str, triple, value: int, intermediates=None) -> ReductionTrace:
-    trace = ReductionTrace()
-    after = triple
-    if intermediates is not None and "ordered" in intermediates:
-        after = intermediates.pop("ordered")
-    trace.add(
-        TraceStep(theorem, before=triple, after=after, intermediates=intermediates, value=value)
-    )
-    return trace
-
-
 def _cmd_coeff(args) -> int:
     triple = coerce_same_size(*(parse_partition(t) for t in (args.lam, args.mu, args.nu)))
     if args.method == "auto":
         value, trace = kron_coeff(*triple)
-    elif args.method == "direct":
-        value = kron_coeff_direct(*triple)
-        trace = _single_step_trace("direct", triple, value)
-    elif args.method == "dvir":
-        maybe = dvir_reduce(*triple)
-        if maybe is None:
-            print("dvir reduction does not apply to this triple", file=sys.stderr)
-            return EXIT_METHOD
-        value = maybe
-        trace = _single_step_trace("dvir", triple, value)
-    else:  # formula
-        try:
-            value, info = two_row_formula(*triple)
-            trace = _single_step_trace("formula-2row", triple, value, info)
-        except ShapeError:
-            try:
-                value, info = four_two_two_formula(*triple)
-            except ShapeError:
-                print("no closed formula applies to this triple", file=sys.stderr)
+    else:
+        if args.method == "direct":
+            step = TraceStep("direct", triple, triple, value=kron_coeff_direct(*triple))
+        elif args.method == "dvir":
+            step = dvir_reduce(*triple)
+            if step is None:
+                print("dvir reduction does not apply to this triple", file=sys.stderr)
                 return EXIT_METHOD
-            trace = _single_step_trace("formula-422", triple, value, info)
+        else:  # formula
+            try:
+                step = two_row_formula(*triple)
+            except ShapeError:
+                try:
+                    step = four_two_two_formula(*triple)
+                except ShapeError:
+                    print("no closed formula applies to this triple", file=sys.stderr)
+                    return EXIT_METHOD
+        value, trace = step.value, ReductionTrace([step])
     print(value)
     if args.trace:
         record = {

@@ -2,7 +2,8 @@
 
 kron_coeff_direct is the ground truth the whole package leans on;
 kron_coeff is the fast path that sorts, peels rectangles, applies closed
-formulas, and falls back to the oracle, recording each step in a trace.
+formulas, and falls back to the oracle.  Every reduction returns its own
+TraceStep, and kron_coeff adds each one to the trace as it is returned.
 Before the oracle it tries two forms of Dvir's bound (J. Algebra 154,
 1993): l(nu) <= |lam ∩ mu'| and nu_1 <= |lam ∩ mu| hold whenever
 k(lam, mu, nu) != 0.  A triple that breaks one ends in a "vanishing" step
@@ -10,6 +11,8 @@ with no frame, whose intermediates name the form under "bound"
 ("dvir-length" or "dvir-width") with the two sides as "size" > "limit".
 kron_coeff validates its input once and then calls the private _rectangle
 and _direct, which the public rectangle_reduce and kron_coeff_direct wrap.
+dvir_reduce, Dvir's boundary-length reduction, sits here beside the oracle
+it calls.
 
 kron_expand takes every nu at once by Kronecker substitution (Schoenhage
 1982; Harvey 2009) on the character table: column rho is packed into one
@@ -35,9 +38,10 @@ from operator import add, mul
 from typing import Callable, Mapping
 
 from .characters import _class_sum, _places, character_row, class_weights, cycle_sign, cycle_types
+from .characters import skew_character
 from .errors import ExactnessError
-from .partitions import Partition, coerce_same_size, conjugate
-from .reductions import ReductionTrace, TraceStep, Zero, _rectangle, two_row_formula
+from .partitions import Partition, SkewShape, coerce_same_size, conjugate, intersect
+from .reductions import ReductionTrace, TraceStep, _rectangle, two_row_formula
 
 __all__ = [
     "KroneckerExpansion",
@@ -45,6 +49,7 @@ __all__ = [
     "kron_expand",
     "kron_coeff",
     "canonical_triple",
+    "dvir_reduce",
 ]
 
 
@@ -209,8 +214,9 @@ def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
 _conjugate = lru_cache(maxsize=1024)(conjugate)
 
 
-def _dvir_bound(cur) -> dict | None:
-    """Why Dvir's theorem (J. Algebra 154, 1993) makes k(cur) zero, or None.
+def _dvir_bound(cur) -> TraceStep | None:
+    """The vanishing step by which Dvir's theorem (J. Algebra 154, 1993)
+    makes k(cur) zero, or None.
 
     If k(lam, mu, nu) != 0 then l(nu) <= |lam ∩ mu'|; as k(lam, mu, nu) =
     k(lam, mu', nu'), also nu_1 <= |lam ∩ mu|.  cur is canonical and not
@@ -220,17 +226,42 @@ def _dvir_bound(cur) -> dict | None:
     x, y, z = cur
     limit = sum(map(min, y, _conjugate(z)))
     if len(x) > limit:
-        return {"bound": "dvir-length", "size": len(x), "limit": limit}
-    if x[0] >= y[0] and x[0] >= z[0]:
-        w, a, b = x, y, z
-    elif y[0] >= z[0]:
-        w, a, b = y, x, z
+        bound = {"bound": "dvir-length", "size": len(x), "limit": limit}
     else:
-        w, a, b = z, x, y
-    limit = sum(map(min, a, b))
-    if w[0] > limit:
-        return {"bound": "dvir-width", "size": w[0], "limit": limit}
-    return None
+        if x[0] >= y[0] and x[0] >= z[0]:
+            w, a, b = x, y, z
+        elif y[0] >= z[0]:
+            w, a, b = y, x, z
+        else:
+            w, a, b = z, x, y
+        limit = sum(map(min, a, b))
+        if w[0] <= limit:
+            return None
+        bound = {"bound": "dvir-width", "size": w[0], "limit": limit}
+    return TraceStep("vanishing", cur, cur, intermediates=bound, value=0)
+
+
+def dvir_reduce(lam, mu, nu) -> TraceStep | None:
+    """Boundary-length reduction through complementary skew characters.
+
+    Applies when nu has exactly |lam ∩ mu'| rows; the coefficient is then
+    the inner product of the two skew characters lam/(lam ∩ mu') and
+    mu/(lam' ∩ mu) against chi^rho, where rho is nu with its first column
+    removed.  Returns a "dvir" step carrying that value, or None when the
+    length condition fails.
+    """
+    triple = lam, mu, nu = coerce_same_size(lam, mu, nu)
+    cross = intersect(lam, conjugate(mu))
+    if nu.length != cross.size:
+        return None
+    rho = Partition(a - 1 for a in nu)
+    left = skew_character(SkewShape(lam, cross))
+    right = skew_character(SkewShape(mu, intersect(conjugate(lam), mu)))
+    total = 0
+    for sigma, c1 in left.items():
+        for tau, c2 in right.items():
+            total += c1 * c2 * kron_coeff_direct(sigma, tau, rho)
+    return TraceStep("dvir", triple, triple, value=total)
 
 
 def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
@@ -249,39 +280,30 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
         if ordered != cur:
             trace.add(TraceStep("canonical-sort", before=cur, after=ordered))
             cur = ordered
-        decision = _rectangle(cur)
-        if decision is None:
+        step = _rectangle(cur)
+        if step is None:
             break
-        if isinstance(decision, Zero):
-            trace.add(TraceStep("vanishing", before=cur, after=cur, frame=decision.frame, value=0))
+        trace.add(step)
+        if step.value == 0:
             return 0, trace
-        trace.add(
-            TraceStep("rectangle-reduce", before=cur, after=decision.triple, frame=decision.frame)
-        )
-        cur = decision.triple
+        cur = step.after
     # cur is canonical here, so cur[0] is the longest partition.
     if not cur[0] and trace.steps:
         # The peeling cancelled everything; the empty triple has coefficient 1.
         # It is sorted already, so the last step is the peel.
         trace.steps[-1] = trace.steps[-1]._replace(value=1)
         return 1, trace
-    if len(cur[0]) <= 2:
-        value, info = two_row_formula(*cur)
-        after = info.pop("ordered")
-        trace.add(
-            TraceStep("formula-2row", before=cur, after=after, intermediates=info, value=value)
-        )
-        return value, trace
     # four_two_two_formula never applies here.  It needs lengths (<=4, <=2,
     # <=2) with the longest partition first, so cur[0] has 3 or 4 rows.  A
     # 3-row cur[0] has lam3 > 0 = lam4, failing lam3 = lam4.  With 4 rows,
     # two 2-row partitions give lengths (4, 2, 2), which rectangle_reduce
     # (p = 4 = 2*2) has already peeled or proved zero; and a one-row mu or
     # nu fails the hypothesis 2*lam3 <= nu2 = 0, since lam3 = lam4 > 0.
-    bound = _dvir_bound(cur)
-    if bound is not None:
-        trace.add(TraceStep("vanishing", before=cur, after=cur, intermediates=bound, value=0))
-        return 0, trace
-    value = _direct(*cur)
-    trace.add(TraceStep("direct", before=cur, after=cur, value=value))
-    return value, trace
+    if len(cur[0]) <= 2:
+        step = two_row_formula(*cur)
+    else:
+        step = _dvir_bound(cur)
+        if step is None:
+            step = TraceStep("direct", cur, cur, value=_direct(*cur))
+    trace.add(step)
+    return step.value, trace

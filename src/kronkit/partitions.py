@@ -83,12 +83,6 @@ class Partition(tuple):
         """Row i (0-based), implicitly zero beyond the last row."""
         return self[i] if 0 <= i < len(self) else 0
 
-    def pad(self, n: int) -> tuple[int, ...]:
-        """The parts extended with zeros to exactly n entries."""
-        if n < len(self):
-            raise ShapeError(f"cannot pad {self!r} down to length {n}")
-        return tuple(self) + (0,) * (n - len(self))
-
     def conjugate(self) -> "Partition":
         return conjugate(self)
 

@@ -5,37 +5,28 @@ partitions leaves the Kronecker coefficient unchanged (or proves it zero),
 and triples with at most two rows each have a closed form.  Every claim in
 this module is checked against the direct character-sum oracle by the
 verification sweeps.
+
+Each reduction returns the TraceStep it certifies, which the dispatcher
+and the CLI add to a trace as it is: a step with value 0 proves the triple
+zero, a step with another value evaluates it, and a step with no value
+hands its after-triple on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .characters import skew_character
 from .errors import ShapeError
-from .partitions import (
-    Partition,
-    Rectangle,
-    SkewShape,
-    add_rectangle,
-    coerce_same_size,
-    conjugate,
-    intersect,
-    subtract_rectangle,
-)
+from .partitions import Partition, Rectangle, add_rectangle, coerce_same_size, subtract_rectangle
 
 __all__ = [
     "RectangleFrame",
     "TraceStep",
     "ReductionTrace",
-    "Zero",
-    "Reduced",
     "ceil_half",
     "stability_inflate",
     "rectangle_reduce",
-    "dvir_reduce",
     "two_row_formula",
     "four_two_two_formula",
 ]
@@ -124,24 +115,6 @@ class ReductionTrace:
     def to_obj(self) -> list[dict]:
         return [s.to_obj() for s in self.steps]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_obj(), indent=indent)
-
-
-@dataclass(frozen=True)
-class Zero:
-    """Vanishing verdict: a rectangle inequality fails, so the coefficient is 0."""
-
-    frame: RectangleFrame
-
-
-@dataclass(frozen=True)
-class Reduced:
-    """The frame rectangles were peeled off; the coefficient is unchanged."""
-
-    triple: Triple
-    frame: RectangleFrame
-
 
 def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     """Add the frame rectangles (t)^p, (rt)^q, (qt)^r to lam, mu, nu.
@@ -161,27 +134,29 @@ def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     )
 
 
-def rectangle_reduce(lam, mu, nu) -> Zero | Reduced | None:
+def rectangle_reduce(lam, mu, nu) -> TraceStep | None:
     """Try to peel a rectangle frame off the triple.
 
     Role assignments are deterministic: candidates for the long role by
     decreasing length (ties by argument position), then the remaining two
     with the shorter taking the q role first.  The first assignment whose
     exact lengths satisfy p = q*r fires, with t the last part of the long
-    partition; the inequalities then decide Zero versus Reduced.  Returns
-    None when no assignment admits a frame.
+    partition.  The inequalities then decide between a "vanishing" step
+    (value 0, after = before) and a "rectangle-reduce" step whose after is
+    the peeled triple; both carry the frame.  Returns None when no
+    assignment admits a frame.
 
     Only the first assignment needs testing: p = q*r >= max(q, r) puts a
     longest partition in the long role, every longest one leaves the same
     product q*r for the other two, and swapping q and r keeps the product.
 
-    When the lengths satisfy p = q*r in argument order, a Zero verdict also
-    means the shared-content pair count lr(lam, mu; nu) is zero.
+    When the lengths satisfy p = q*r in argument order, a vanishing step
+    also means the shared-content pair count lr(lam, mu; nu) is zero.
     """
     return _rectangle(coerce_same_size(lam, mu, nu))
 
 
-def _rectangle(triple: Triple) -> Zero | Reduced | None:
+def _rectangle(triple: Triple) -> TraceStep | None:
     """rectangle_reduce on a triple coerce_same_size has already checked."""
     lengths = [len(part) for part in triple]
     p = max(lengths)
@@ -196,46 +171,22 @@ def _rectangle(triple: Triple) -> Zero | Reduced | None:
     t = long[p - 1]
     frame = RectangleFrame(p, q, r, t)
     if qpart[q - 1] < r * t or rpart[r - 1] < q * t:
-        return Zero(frame)
+        return TraceStep("vanishing", triple, triple, frame, value=0)
     reduced = (
         subtract_rectangle(long, Rectangle(t, p)),
         subtract_rectangle(qpart, Rectangle(r * t, q)),
         subtract_rectangle(rpart, Rectangle(q * t, r)),
     )
-    return Reduced(reduced, frame)
+    return TraceStep("rectangle-reduce", triple, reduced, frame)
 
 
-def dvir_reduce(lam, mu, nu) -> int | None:
-    """Boundary-length reduction through complementary skew characters.
-
-    Applies when nu has exactly |lam ∩ mu'| rows; the coefficient is then
-    the inner product of the two skew characters lam/(lam ∩ mu') and
-    mu/(lam' ∩ mu) against chi^rho, where rho is nu with its first column
-    removed.  Returns None when the length condition fails.
-    """
-    lam, mu, nu = coerce_same_size(lam, mu, nu)
-    cross = intersect(lam, conjugate(mu))
-    if nu.length != cross.size:
-        return None
-    rho = Partition(a - 1 for a in nu)
-    left = skew_character(SkewShape(lam, cross))
-    right = skew_character(SkewShape(mu, intersect(conjugate(lam), mu)))
-
-    from .kronecker import kron_coeff_direct
-
-    total = 0
-    for sigma, c1 in left.items():
-        for tau, c2 in right.items():
-            total += c1 * c2 * kron_coeff_direct(sigma, tau, rho)
-    return total
-
-
-def two_row_formula(lam, mu, nu) -> tuple[int, dict]:
+def two_row_formula(lam, mu, nu) -> TraceStep:
     """Closed form for three partitions with at most two rows each.
 
-    The triple is permuted internally so the second parts are sorted (the
-    coefficient is symmetric); returns (value, info) where info carries the
-    integers x, y and the permuted triple under "ordered".
+    The triple is permuted so the second parts are sorted, largest first
+    (the coefficient is symmetric).  Returns a "formula-2row" step whose
+    after is the permuted triple and whose intermediates are the integers
+    x and y.
     """
     triple = coerce_same_size(lam, mu, nu)
     if max(p.length for p in triple) > 2:
@@ -246,18 +197,20 @@ def two_row_formula(lam, mu, nu) -> tuple[int, dict]:
     x = max(0, ceil_half(nu2 + mu2 + lam2 - m))
     y = ceil_half(nu2 + mu2 - lam2 + 1)
     value = y - x if y >= x else 0
-    return value, {"x": x, "y": y, "ordered": (s[2], s[1], s[0])}
+    return TraceStep(
+        "formula-2row", triple, (s[2], s[1], s[0]), intermediates={"x": x, "y": y}, value=value
+    )
 
 
-def four_two_two_formula(lam, mu, nu) -> tuple[int, dict]:
+def four_two_two_formula(lam, mu, nu) -> TraceStep:
     """Closed form for lengths (<=4, <=2, <=2) when lam's bottom rows agree.
 
     Needs lam3 = lam4 after padding lam to four rows, and 2*lam3 bounded by
-    both second parts; mu and nu are swapped internally so nu has the
-    smaller second part.  info carries x, y, z, the case taken, and the
-    triple actually used under "ordered".
+    both second parts; mu and nu are swapped so nu has the smaller second
+    part.  Returns a "formula-422" step whose after is the triple actually
+    used and whose intermediates are x, y, z and the case taken.
     """
-    lam, mu, nu = coerce_same_size(lam, mu, nu)
+    triple = lam, mu, nu = coerce_same_size(lam, mu, nu)
     if lam.length > 4 or lam.part(2) != lam.part(3):
         raise ShapeError(f"{lam!r} is not a <=4-row partition with equal bottom rows")
     if mu.length > 2 or nu.length > 2:
@@ -278,4 +231,5 @@ def four_two_two_formula(lam, mu, nu) -> tuple[int, dict]:
     else:
         case = 2
         value = z - x if z >= x else 0
-    return value, {"x": x, "y": y, "z": z, "case": case, "ordered": (lam, mu, nu)}
+    info = {"x": x, "y": y, "z": z, "case": case}
+    return TraceStep("formula-422", triple, (lam, mu, nu), intermediates=info, value=value)

@@ -17,10 +17,10 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
-from .kronecker import kron_coeff, kron_coeff_direct, kron_expand
+from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import lr_pair_count, perm_character_decomp
 from .partitions import Partition, conjugate, format_partition, intersect
-from .reductions import RectangleFrame, Zero, dvir_reduce, four_two_two_formula, rectangle_reduce
+from .reductions import RectangleFrame, four_two_two_formula, rectangle_reduce
 from .reductions import stability_inflate, two_row_formula
 
 __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
@@ -65,13 +65,15 @@ def _check_stability(triple):
 
 
 def _check_reduction(triple):
-    decision = rectangle_reduce(*triple)
-    if isinstance(decision, Zero):
+    step = rectangle_reduce(*triple)
+    if step is None:
+        return
+    if step.value == 0:
         yield _oracle("reduction-zero", triple, 0, "claimed")
-    elif decision is not None:
-        got, direct = kron_coeff_direct(*decision.triple), kron_coeff_direct(*triple)
+    else:
+        got, direct = kron_coeff_direct(*step.after), kron_coeff_direct(*triple)
         yield "reduction-preserve", got != direct and (
-            f"{_fmt(*triple)} -> {_fmt(*decision.triple)} gave {got}, direct {direct}"
+            f"{_fmt(*triple)} -> {_fmt(*step.after)} gave {got}, direct {direct}"
         )
 
 
@@ -87,13 +89,13 @@ def _check_formulas(unit):
     triple, tall = unit
     lam, mu, nu = triple
     if not tall:
-        yield _oracle("formula-2row", triple, two_row_formula(*triple)[0])
+        yield _oracle("formula-2row", triple, two_row_formula(*triple).value)
     elif 2 * lam.part(2) <= min(mu.part(1), nu.part(1)):
-        value = four_two_two_formula(*triple)[0]
+        value = four_two_two_formula(*triple).value
         yield _oracle("formula-422", triple, value)
         if (lam.length, mu.length, nu.length) == (4, 2, 2):
-            decision = rectangle_reduce(*triple)
-            other = 0 if isinstance(decision, Zero) else two_row_formula(*decision.triple)[0]
+            step = rectangle_reduce(*triple)
+            other = 0 if step.value == 0 else two_row_formula(*step.after).value
             yield "formula-consistency", other != value and (
                 f"{_fmt(*triple)} formula {value}, reduce-then-2row {other}"
             )
@@ -104,7 +106,7 @@ def _check_dvir(pair):
     rows = intersect(lam, conjugate(mu)).size
     for nu in _parts(lam.size):
         if nu.length == rows:
-            yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu))
+            yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu).value)
 
 
 def _check_lr(pair):

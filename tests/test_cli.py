@@ -3,7 +3,7 @@ import hashlib
 import io
 import json
 import os
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -139,6 +139,20 @@ class TestCoeff:
                 code, direct_out, _ = run(capsys, "coeff", a, b, c, "--method=direct")
                 assert code == 0
                 assert auto_out == direct_out
+
+    def test_every_method_trace_to_five_is_pinned(self, capsys):
+        # sha256 over f"{rc}|{stdout}|{stderr}" of `coeff A B C --method=M
+        # --trace` for every ordered triple with m <= 5 (product order) and
+        # M in auto, direct, dvir, formula: results, traces, refusals.
+        digest = hashlib.sha256()
+        for m in range(6):
+            texts = [format_partition(p) for p in partitions_of(m)]
+            for triple in product(texts, repeat=3):
+                for method in ("auto", "direct", "dvir", "formula"):
+                    code, out, err = run(capsys, "coeff", *triple, f"--method={method}", "--trace")
+                    digest.update(f"{code}|{out}|{err}".encode())
+        want = "c76f7b4a0f64a5d10b5f0357b2a1eeeb0af0a9ec2bb6c992d4e3429df6544d90"
+        assert digest.hexdigest() == want
 
 
 class TestExpand:

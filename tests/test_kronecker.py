@@ -18,6 +18,7 @@ from kronkit import (
     kron_coeff,
     kron_coeff_direct,
     kron_expand,
+    stability_inflate,
 )
 from kronkit.kronecker import _pack
 from kronkit.partitions import partitions_of
@@ -233,7 +234,7 @@ class TestDispatcher:
 
     def test_trace_json_round_trip(self):
         _, trace = kron_coeff((3, 2, 1, 1), (4, 3), (4, 3))
-        text = trace.to_json()
+        text = json.dumps(trace.to_obj())
         obj = json.loads(text)
         assert json.dumps(obj) == json.dumps(json.loads(json.dumps(obj)))
         for step in obj:
@@ -247,6 +248,24 @@ class TestDispatcher:
                     for nu in parts:
                         fast, _ = kron_coeff(lam, mu, nu)
                         assert fast == kron_coeff_direct(lam, mu, nu)
+
+    def test_every_step_is_sound(self):
+        # Each step of a trace holds on its own, not only the final value.
+        seen = set()
+        for m in range(9):
+            for triple in combinations_with_replacement(partitions_of(m), 3):
+                for step in kron_coeff(*triple)[1].steps:
+                    seen.add(step.theorem)
+                    if step.value is not None:
+                        assert step.value == kron_coeff_direct(*step.before), step
+                    if step.theorem == "rectangle-reduce":
+                        assert kron_coeff_direct(*step.before) == kron_coeff_direct(*step.after)
+                        # The frame's rectangles are exactly what was peeled.
+                        inflated = stability_inflate(*step.after, step.frame)
+                        assert sorted(inflated) == sorted(step.before), step
+                    elif step.theorem == "canonical-sort":
+                        assert sorted(step.after) == sorted(step.before), step
+        assert seen == {"canonical-sort", "rectangle-reduce", "vanishing", "formula-2row", "direct"}
 
     @settings(max_examples=300, deadline=None)
     @given(triples_st())

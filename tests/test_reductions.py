@@ -3,10 +3,9 @@ import pytest
 from kronkit import (
     Partition,
     RectangleFrame,
-    Reduced,
     ShapeError,
     SizeMismatchError,
-    Zero,
+    TraceStep,
     ceil_half,
     dvir_reduce,
     four_two_two_formula,
@@ -87,25 +86,24 @@ class TestStabilityInflate:
 
 class TestRectangleReduce:
     def test_zero_branch(self):
-        decision = rectangle_reduce((2, 2, 2, 2), (4, 4), (5, 3))
-        assert isinstance(decision, Zero)
-        assert decision.frame == RectangleFrame(4, 2, 2, 2)
+        step = rectangle_reduce((2, 2, 2, 2), (4, 4), (5, 3))
+        assert (step.theorem, step.value) == ("vanishing", 0)
+        assert step.after == step.before == (P(2, 2, 2, 2), P(4, 4), P(5, 3))
+        assert step.frame == RectangleFrame(4, 2, 2, 2)
 
     def test_full_cancellation(self):
-        decision = rectangle_reduce((2, 2, 2, 2), (4, 4), (4, 4))
-        assert isinstance(decision, Reduced)
-        assert decision.triple == (P(), P(), P())
-        assert decision.frame == RectangleFrame(4, 2, 2, 2)
+        step = rectangle_reduce((2, 2, 2, 2), (4, 4), (4, 4))
+        assert (step.theorem, step.value) == ("rectangle-reduce", None)
+        assert step.after == (P(), P(), P())
+        assert step.frame == RectangleFrame(4, 2, 2, 2)
 
     def test_degenerate_frame_found(self):
         # a frame with q = 1 exists here (p = 3 = 1 * 3) and it is sound
-        decision = rectangle_reduce((3, 2, 1), (3, 2, 1), (6,))
-        assert isinstance(decision, Reduced)
-        assert decision.frame == RectangleFrame(3, 1, 3, 1)
-        assert decision.triple == (P(2, 1), P(3), P(2, 1))
-        assert kron_coeff_direct((3, 2, 1), (3, 2, 1), (6,)) == kron_coeff_direct(
-            *decision.triple
-        )
+        step = rectangle_reduce((3, 2, 1), (3, 2, 1), (6,))
+        assert (step.theorem, step.value) == ("rectangle-reduce", None)
+        assert step.frame == RectangleFrame(3, 1, 3, 1)
+        assert step.after == (P(2, 1), P(3), P(2, 1))
+        assert kron_coeff_direct((3, 2, 1), (3, 2, 1), (6,)) == kron_coeff_direct(*step.after)
 
     def test_not_applicable(self):
         assert rectangle_reduce((2, 1), (2, 1), (2, 1)) is None
@@ -117,16 +115,16 @@ class TestRectangleReduce:
 
 
 class TestVanishingLr:
-    """A Zero verdict of rectangle_reduce also makes the pair count lr vanish."""
+    """A vanishing step of rectangle_reduce also makes the pair count lr vanish."""
 
     def test_true_case(self):
-        assert isinstance(rectangle_reduce((2, 2, 2, 2), (5, 3), (4, 4)), Zero)
+        assert rectangle_reduce((2, 2, 2, 2), (5, 3), (4, 4)).theorem == "vanishing"
 
     def test_false_case(self):
-        assert isinstance(rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2)), Reduced)
+        assert rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2)).theorem == "rectangle-reduce"
 
     def test_soundness(self):
-        # lengths p = q*r in argument order; where Zero fires, lr(lam, mu; nu) = 0
+        # lengths p = q*r in argument order; where a frame vanishes, lr(lam, mu; nu) = 0
         for m in range(9):
             parts = list(partitions_of(m))
             for lam in parts:
@@ -140,16 +138,18 @@ class TestVanishingLr:
                     for nu in parts:
                         if nu.length * q != p:
                             continue
-                        if isinstance(rectangle_reduce(lam, mu, nu), Zero):
+                        step = rectangle_reduce(lam, mu, nu)
+                        if step is not None and step.theorem == "vanishing":
                             assert lr_pair_count(lam, mu, nu) == 0
 
 
 class TestDvirReduce:
     def test_rectangle_case(self):
-        assert dvir_reduce((2, 2), (2, 2), (1, 1, 1, 1)) == 1
+        triple = (P(2, 2), P(2, 2), P(1, 1, 1, 1))
+        assert dvir_reduce(*triple) == TraceStep("dvir", triple, triple, value=1)
 
     def test_single_box_skews(self):
-        assert dvir_reduce((3, 1), (2, 2), (2, 1, 1)) == 1
+        assert dvir_reduce((3, 1), (2, 2), (2, 1, 1)).value == 1
 
     def test_not_applicable(self):
         assert dvir_reduce((3, 1), (2, 2), (2, 2)) is None
@@ -165,26 +165,29 @@ class TestDvirReduce:
                     for nu in parts:
                         if nu.length != rows:
                             continue
-                        assert dvir_reduce(lam, mu, nu) == kron_coeff_direct(lam, mu, nu)
+                        assert dvir_reduce(lam, mu, nu).value == kron_coeff_direct(lam, mu, nu)
 
 
 class TestTwoRowFormula:
     def test_trivial_component(self):
-        value, info = two_row_formula((3, 3), (3, 3), (6,))
-        assert (value, info["x"], info["y"]) == (1, 0, 1)
+        step = two_row_formula((3, 3), (3, 3), (6,))
+        assert step.theorem == "formula-2row"
+        assert step.before == (P(3, 3), P(3, 3), P(6))
+        assert (step.value, step.intermediates) == (1, {"x": 0, "y": 1})
 
     def test_cube_four_two(self):
-        value, info = two_row_formula((4, 2), (4, 2), (4, 2))
-        assert (value, info["x"], info["y"]) == (2, 0, 2)
+        step = two_row_formula((4, 2), (4, 2), (4, 2))
+        assert (step.value, step.intermediates) == (2, {"x": 0, "y": 2})
 
     def test_cube_five_one(self):
-        value, info = two_row_formula((5, 1), (5, 1), (5, 1))
-        assert (value, info["x"], info["y"]) == (1, 0, 1)
+        step = two_row_formula((5, 1), (5, 1), (5, 1))
+        assert (step.value, step.intermediates) == (1, {"x": 0, "y": 1})
 
     def test_records_permutation(self):
-        _, info = two_row_formula((6,), (3, 3), (4, 2))
-        lam, mu, nu = info["ordered"]
+        step = two_row_formula((6,), (3, 3), (4, 2))
+        lam, mu, nu = step.after
         assert lam.part(1) >= mu.part(1) >= nu.part(1)
+        assert sorted(step.after) == sorted(step.before)
 
     def test_rejects_long_partition(self):
         with pytest.raises(ShapeError):
@@ -193,23 +196,28 @@ class TestTwoRowFormula:
 
 class TestFourTwoTwoFormula:
     def test_example_seven(self):
-        value, info = four_two_two_formula((3, 2, 1, 1), (4, 3), (4, 3))
-        assert (value, info["x"], info["y"], info["case"]) == (1, 0, 1, 1)
+        step = four_two_two_formula((3, 2, 1, 1), (4, 3), (4, 3))
+        assert step.theorem == "formula-422"
+        assert step.value == 1
+        assert step.intermediates == {"x": 0, "y": 1, "z": 1, "case": 1}
 
     def test_example_eight(self):
-        value, info = four_two_two_formula((2, 2, 2, 2), (4, 4), (4, 4))
-        assert (value, info["x"], info["y"], info["case"]) == (1, 0, 1, 1)
+        step = four_two_two_formula((2, 2, 2, 2), (4, 4), (4, 4))
+        info = step.intermediates
+        assert (step.value, info["x"], info["y"], info["case"]) == (1, 0, 1, 1)
 
     def test_example_eight_uneven(self):
-        value, info = four_two_two_formula((4, 2, 1, 1), (5, 3), (5, 3))
-        assert (value, info["x"], info["y"]) == (1, 0, 1)
+        step = four_two_two_formula((4, 2, 1, 1), (5, 3), (5, 3))
+        info = step.intermediates
+        assert (step.value, info["x"], info["y"]) == (1, 0, 1)
 
     def test_case_two(self):
         # lam2 + lam3 > mu2 exercises the z branch
         lam, mu, nu = (3, 3, 1, 1), (5, 3), (5, 3)
-        value, info = four_two_two_formula(lam, mu, nu)
-        assert (value, info["case"], info["z"]) == (1, 2, 1)
-        assert value == kron_coeff_direct(lam, mu, nu)
+        step = four_two_two_formula(lam, mu, nu)
+        info = step.intermediates
+        assert (step.value, info["case"], info["z"]) == (1, 2, 1)
+        assert step.value == kron_coeff_direct(lam, mu, nu)
 
     def test_rejects_unequal_bottom_rows(self):
         with pytest.raises(ShapeError):
@@ -224,20 +232,21 @@ class TestFourTwoTwoReduce:
     """rectangle_reduce on triples of exact lengths (4, 2, 2): the frame (4, 2, 2, lam4)."""
 
     def test_reduces_to_smaller_triple(self):
-        decision = rectangle_reduce((3, 2, 1, 1), (4, 3), (4, 3))
-        assert isinstance(decision, Reduced)
-        assert decision.triple == (P(2, 1), P(2, 1), P(2, 1))
-        assert decision.frame == RectangleFrame(4, 2, 2, 1)
+        step = rectangle_reduce((3, 2, 1, 1), (4, 3), (4, 3))
+        assert (step.theorem, step.value) == ("rectangle-reduce", None)
+        assert step.after == (P(2, 1), P(2, 1), P(2, 1))
+        assert step.frame == RectangleFrame(4, 2, 2, 1)
 
     def test_zero_branch(self):
-        decision = rectangle_reduce((2, 1, 1, 1), (4, 1), (4, 1))
-        assert decision == Zero(RectangleFrame(4, 2, 2, 1))
+        triple = (P(2, 1, 1, 1), P(4, 1), P(4, 1))
+        step = rectangle_reduce(*triple)
+        assert step == TraceStep("vanishing", triple, triple, RectangleFrame(4, 2, 2, 1), value=0)
         assert kron_coeff_direct((2, 1, 1, 1), (4, 1), (4, 1)) == 0
 
     def test_full_cancellation(self):
-        decision = rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2))
-        assert isinstance(decision, Reduced)
-        assert decision.triple == (P(), P(), P())
+        step = rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2))
+        assert (step.theorem, step.value) == ("rectangle-reduce", None)
+        assert step.after == (P(), P(), P())
 
     def test_consistency_with_formula(self):
         # the closed formula and reduce-then-two-row agree where both apply
@@ -249,10 +258,9 @@ class TestFourTwoTwoReduce:
                     for nu in short:
                         if 2 * lam[2] > min(mu[1], nu[1]):
                             continue
-                        value, _ = four_two_two_formula(lam, mu, nu)
-                        decision = rectangle_reduce(lam, mu, nu)
-                        if isinstance(decision, Zero):
+                        value = four_two_two_formula(lam, mu, nu).value
+                        step = rectangle_reduce(lam, mu, nu)
+                        if step.theorem == "vanishing":
                             assert value == 0
                         else:
-                            other, _ = two_row_formula(*decision.triple)
-                            assert other == value
+                            assert two_row_formula(*step.after).value == value
