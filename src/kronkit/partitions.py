@@ -60,10 +60,12 @@ class Partition(tuple):
             if a > prev:
                 raise PartitionError(f"parts not weakly decreasing: {parts!r}")
             prev = a
-        end = len(parts)
+        if not parts or parts[-1]:
+            return tuple.__new__(cls, parts)
+        end = len(parts) - 1
         while end and parts[end - 1] == 0:
             end -= 1
-        return super().__new__(cls, parts[:end])
+        return tuple.__new__(cls, parts[:end])
 
     def __getnewargs__(self):
         return (tuple(self),)

@@ -158,16 +158,18 @@ def rectangle_reduce(lam, mu, nu) -> TraceStep | None:
 
 def _rectangle(triple: Triple) -> TraceStep | None:
     """rectangle_reduce on a triple coerce_same_size has already checked."""
-    lengths = [len(part) for part in triple]
-    p = max(lengths)
-    li = lengths.index(p)
+    lam, mu, nu = triple
+    a, b, c = len(lam), len(mu), len(nu)
+    p = max(a, b, c)
+    # With q, r the other two lengths, p = q*r exactly when p > 0 and a*b*c = p*p.
+    if not p or a * b * c != p * p:
+        return None
+    li = (a, b, c).index(p)
     long = triple[li]
     qpart, rpart = [triple[i] for i in range(3) if i != li]
     if len(rpart) < len(qpart):
         qpart, rpart = rpart, qpart
     q, r = len(qpart), len(rpart)
-    if q == 0 or p != q * r:
-        return None
     t = long[p - 1]
     frame = RectangleFrame(p, q, r, t)
     if qpart[q - 1] < r * t or rpart[r - 1] < q * t:

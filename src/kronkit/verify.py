@@ -4,6 +4,13 @@ Each suite checks reduction-layer claims against the class-sum oracle on
 its work units (triples of partitions, or pairs for dvir and lr) and
 collects counterexamples.  Unit k goes to shard k mod jobs, and each
 property keeps the failures of smallest unit index, whatever the jobs.
+
+The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
+in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
+multiset.  So the oracle's values are memoised on the sorted triple, which
+is exact because the class sum multiplies the same integers in any order.
+The memo is capped, and each shard empties it when it starts and ends, so
+no value outlives one sweep.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -47,18 +54,29 @@ def _fmt(*parts: Partition) -> str:
 _FRAMES = tuple((q * r, q, r) for q in range(1, 7) for r in range(1, 7) if q * r <= 6)
 
 
+@lru_cache(maxsize=2048)
+def _direct_memo(lam, mu, nu) -> int:
+    # kron_coeff_direct is looked up at call time, so a rebound oracle is the one called.
+    return kron_coeff_direct(lam, mu, nu)
+
+
+def _direct(triple) -> int:
+    """kron_coeff_direct(*triple), memoised on the sorted triple."""
+    return _direct_memo(*sorted(triple))
+
+
 def _oracle(name: str, triple, got: int, label: str = "gave"):
     """(name, counterexample or False) for got against the oracle's value."""
-    direct = kron_coeff_direct(*triple)
+    direct = _direct(triple)
     return name, got != direct and f"{_fmt(*triple)} {label} {got}, direct {direct}"
 
 
 def _check_stability(triple):
     lam, mu, nu = triple
     fits = [(p, q, r) for p, q, r in _FRAMES if len(lam) <= p and len(mu) <= q and len(nu) <= r]
-    base = kron_coeff_direct(*triple) if fits else None
+    base = _direct(triple) if fits else None
     for (p, q, r), t in product(fits, (1, 2)):
-        got = kron_coeff_direct(*stability_inflate(*triple, RectangleFrame(p, q, r, t)))
+        got = _direct(stability_inflate(*triple, RectangleFrame(p, q, r, t)))
         yield "stability", got != base and (
             f"{_fmt(*triple)} frame (p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
         )
@@ -71,7 +89,7 @@ def _check_reduction(triple):
     if step.value == 0:
         yield _oracle("reduction-zero", triple, 0, "claimed")
     else:
-        got, direct = kron_coeff_direct(*step.after), kron_coeff_direct(*triple)
+        got, direct = _direct(step.after), _direct(triple)
         yield "reduction-preserve", got != direct and (
             f"{_fmt(*triple)} -> {_fmt(*step.after)} gave {got}, direct {direct}"
         )
@@ -132,13 +150,17 @@ def _shard(suite: Suite, max_m: int, shard: int, nshards: int):
     checked = dict.fromkeys(suite.names, 0)
     failures = {name: [] for name in suite.names}
     units = chain.from_iterable(suite.units(_parts(m)) for m in range(max_m + 1))
-    for idx, unit in enumerate(units, 1):
-        if idx % nshards != shard:
-            continue
-        for name, text in suite.check(unit):
-            checked[name] += 1
-            if text and len(failures[name]) < MAX_COUNTEREXAMPLES:
-                failures[name].append((idx, f"{name}: {text}"))
+    _direct_memo.cache_clear()
+    try:
+        for idx, unit in enumerate(units, 1):
+            if idx % nshards != shard:
+                continue
+            for name, text in suite.check(unit):
+                checked[name] += 1
+                if text and len(failures[name]) < MAX_COUNTEREXAMPLES:
+                    failures[name].append((idx, f"{name}: {text}"))
+    finally:
+        _direct_memo.cache_clear()
     return checked, failures
 
 

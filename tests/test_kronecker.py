@@ -67,6 +67,8 @@ class TestDirect:
             kron_coeff_direct((2, 1), (2, 1), (2, 2))
 
     def test_full_symmetry(self):
+        # Every multiset with m <= 6, in all six orders.  verify's memo keys
+        # the oracle on the sorted triple and relies on this.
         for m in range(1, 7):
             parts = list(partitions_of(m))
             for i, lam in enumerate(parts):

@@ -6,7 +6,7 @@ import sys
 
 import kronkit
 import kronkit.cli  # noqa: F401  (with verify, the modules the package does not import)
-from kronkit import characters, kronecker, lr, partitions
+from kronkit import characters, kronecker, lr, partitions, verify
 
 MEMOS = [
     partitions.cycle_types,
@@ -19,6 +19,7 @@ MEMOS = [
     lr._decomp,
     kronecker._pack,
     kronecker._conjugate,
+    verify._direct_memo,
 ]
 
 
