@@ -1,16 +1,24 @@
 """Exhaustive verification sweeps over bounded triple spaces.
 
 Each suite checks reduction-layer claims against the class-sum oracle on
-its work units (triples of partitions, or pairs for dvir and lr) and
-collects counterexamples.  Unit k goes to shard k mod jobs, and each
-property keeps the failures of smallest unit index, whatever the jobs.
+its work units (triples of partitions, or pairs for dvir) and collects
+counterexamples.  A run with jobs > 1 starts one process pool, and each
+worker sweeps every requested suite for its shard in turn, so the package
+memos one suite fills (character rows, the lr counts, the packed tables)
+serve the next.  A unit's shard is its suite's key mod jobs: the sorted
+triple's hash for the triple suites and pi's place in cycle_types(m) for
+lr, so the work that shares a memo entry stays on one shard, and the unit
+index for dvir and formulas.  Tuples of ints hash alike in every process,
+so the split does not depend on PYTHONHASHSEED.  Each property keeps the
+failures of smallest unit index, whatever the jobs.
 
 The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
 in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
 multiset.  So the oracle's values are memoised on the sorted triple, which
 is exact because the class sum multiplies the same integers in any order.
-The memo is capped, and each shard empties it when it starts and ends, so
-no value outlives one sweep.
+The lr units of one (lam, mu) come in a row, so its expansion is kept in a
+one-entry memo.  Both memos are emptied when a suite's sweep starts and
+ends on a shard, so no value outlives one sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
+from .characters import _places
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import lr_pair_count, perm_character_decomp
@@ -127,77 +136,92 @@ def _check_dvir(pair):
             yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu).value)
 
 
-def _check_lr(pair):
-    lam, mu = pair
-    expansion = kron_expand(lam, mu)
-    for pi in _parts(lam.size):
-        lrp = lr_pair_count(lam, mu, pi)
-        want = sum(k * expansion[nu] for nu, k in perm_character_decomp(pi).items())
-        yield "lr-pair-identity", lrp != want and (
-            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
-        )
-        yield "lr-dominates-kron", lrp < expansion[pi] and (
-            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {expansion[pi]}"
-        )
+@lru_cache(maxsize=1)
+def _expansion(lam, mu):
+    # lr units with one (lam, mu) come in a row; kron_expand is looked up at call time.
+    return kron_expand(lam, mu)
+
+
+def _check_lr(unit):
+    lam, mu, pi = unit
+    expansion = _expansion(lam, mu)
+    lrp = lr_pair_count(lam, mu, pi)
+    want = sum(k * expansion[nu] for nu, k in perm_character_decomp(pi).items())
+    yield "lr-pair-identity", lrp != want and (
+        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
+    )
+    yield "lr-dominates-kron", lrp < expansion[pi] and (
+        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {expansion[pi]}"
+    )
 
 
 def _check_dispatch(triple):
     yield _oracle("dispatch", triple, kron_coeff(*triple)[0], "fast")
 
 
-def _shard(suite: Suite, max_m: int, shard: int, nshards: int):
-    """Per property: instances checked, and the first failures as (unit index, text)."""
+def _clear_memos() -> None:
+    _direct_memo.cache_clear()
+    _expansion.cache_clear()
+
+
+def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):
+    """One shard of one suite: per property, in print order, (name, instances
+    checked, the first failures as (unit index, text))."""
     checked = dict.fromkeys(suite.names, 0)
     failures = {name: [] for name in suite.names}
     units = chain.from_iterable(suite.units(_parts(m)) for m in range(max_m + 1))
-    _direct_memo.cache_clear()
+    _clear_memos()
     try:
         for idx, unit in enumerate(units, 1):
-            if idx % nshards != shard:
+            if suite.key(idx, unit) % nshards != shard:
                 continue
             for name, text in suite.check(unit):
                 checked[name] += 1
                 if text and len(failures[name]) < MAX_COUNTEREXAMPLES:
                     failures[name].append((idx, f"{name}: {text}"))
     finally:
-        _direct_memo.cache_clear()
-    return checked, failures
-
-
-def _run(suite: Suite, max_m: int, jobs: int = 1) -> list[SweepResult]:
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
-    if jobs == 1:
-        outs = [_shard(suite, max_m, 0, 1)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(partial(_shard, suite, max_m, nshards=jobs), range(jobs)))
-    results = []
-    for name in suite.names:
-        # Stable by unit index alone, so failures inside one unit keep their order.
-        first = sorted(chain.from_iterable(f[name] for _, f in outs), key=itemgetter(0))
-        texts = sorted(text for _, text in first[:MAX_COUNTEREXAMPLES])
-        results.append(SweepResult(name, sum(c[name] for c, _ in outs), texts))
-    return results
+        _clear_memos()
+    return [(name, checked[name], failures[name]) for name in suite.names]
 
 
 class Suite(NamedTuple):
     names: tuple[str, ...]  # property names, in print order
     units: Callable  # units(parts): the work units built from the partitions of m, in order
     check: Callable  # check(unit): (property, counterexample or False) per instance
+    key: Callable  # key(idx, unit): the unit's shard is key mod the number of shards
 
-    __call__ = _run  # suite(max_m, jobs=1) -> list[SweepResult]
+    __call__ = _sweep  # suite(max_m, shard=0, nshards=1): one shard of the sweep
+
+
+def _multiset(idx, triple) -> int:
+    # _direct_memo's key; tuples of ints hash alike in every process and under any PYTHONHASHSEED.
+    return hash(tuple(sorted(triple)))
+
+
+def _pi_place(idx, unit) -> int:
+    pi = unit[2]
+    return _places(pi.size)[pi]
+
+
+def _index(idx, unit) -> int:
+    return idx
 
 
 _pairs, _triples = partial(product, repeat=2), partial(product, repeat=3)
 SUITES = {
-    "stability": Suite(("stability",), _triples, _check_stability),
-    "reduction": Suite(("reduction-zero", "reduction-preserve"), _triples, _check_reduction),
-    "formulas": Suite(
-        ("formula-2row", "formula-422", "formula-consistency"), _formula_units, _check_formulas
+    "stability": Suite(("stability",), _triples, _check_stability, _multiset),
+    "reduction": Suite(
+        ("reduction-zero", "reduction-preserve"), _triples, _check_reduction, _multiset
     ),
-    "dvir": Suite(("dvir",), _pairs, _check_dvir),
-    "lr": Suite(("lr-pair-identity", "lr-dominates-kron"), _pairs, _check_lr),
-    "dispatch": Suite(("dispatch",), _triples, _check_dispatch),
+    "formulas": Suite(
+        ("formula-2row", "formula-422", "formula-consistency"),
+        _formula_units,
+        _check_formulas,
+        _index,
+    ),
+    "dvir": Suite(("dvir",), _pairs, _check_dvir, _index),
+    "lr": Suite(("lr-pair-identity", "lr-dominates-kron"), _triples, _check_lr, _pi_place),
+    "dispatch": Suite(("dispatch",), _triples, _check_dispatch, _multiset),
 }
 
 # The suites "all" runs, in order.  dispatch is not among them, because the
@@ -205,7 +229,36 @@ SUITES = {
 ALL_SUITES = ("stability", "reduction", "formulas", "dvir", "lr")
 
 
+def _shard(names, max_m: int, shard: int = 0, nshards: int = 1):
+    """One worker's share of a run: the named suites' sweeps for one shard, in order."""
+    return [prop for name in names for prop in SUITES[name](max_m, shard, nshards)]
+
+
+def _merge(outs) -> list[SweepResult]:
+    """The shards' results as one SweepResult per property."""
+    results = []
+    for props in zip(*outs):
+        # Stable by unit index alone, so failures inside one unit keep their order.
+        first = sorted(chain.from_iterable(f for _, _, f in props), key=itemgetter(0))
+        texts = sorted(text for _, text in first[:MAX_COUNTEREXAMPLES])
+        results.append(SweepResult(props[0][0], sum(c for _, c, _ in props), texts))
+    return results
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
-    """Run one named suite, or the ALL_SUITES in that order."""
+    """Run one named suite, or the ALL_SUITES in that order, on at most
+    `jobs` processes (no pool for one)."""
     names = ALL_SUITES if name == "all" else (name,)
-    return [res for suite in names for res in SUITES[suite](max_m, jobs)]
+    jobs = max(1, min(jobs, _cpus()))
+    if jobs == 1:
+        return _merge([_shard(names, max_m)])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return _merge(pool.map(partial(_shard, names, max_m, nshards=jobs), range(jobs)))

@@ -295,6 +295,7 @@ class TestVerify:
 
         monkeypatch.setattr(verify_mod, "kron_coeff_direct", lambda lam, mu, nu: lam.size)
         monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
         argv = ("verify", "--max-m", "6", "--suite", "reduction")
         code, serial, _ = run(capsys, *argv)
@@ -319,12 +320,20 @@ class TestVerify:
         assert code == 0
         assert out == "dispatch: PASS (505 instances)\n"  # 1+1+8+27+125+343 triples
 
+    # sha256 of the stdout of `verify --suite all --max-m 8`, at any --jobs.
+    ALL_TO_EIGHT = "21974eafb09b6e17491522e239f00ff84bc74b04636c709d0b4a7cc640effa1f"
+
     def test_all_to_eight_is_pinned(self, capsys):
-        # sha256 of the stdout of `verify --suite all --max-m 8 --jobs 1`.
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-m", "8", "--jobs", "1")
         assert code == 0
-        digest = "21974eafb09b6e17491522e239f00ff84bc74b04636c709d0b4a7cc640effa1f"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ALL_TO_EIGHT
+
+    def test_all_to_eight_is_pinned_on_two_shards(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--max-m", "8", "--jobs", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ALL_TO_EIGHT
 
     def test_dispatch_to_eight(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dispatch", "--max-m", "8")

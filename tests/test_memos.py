@@ -20,6 +20,7 @@ MEMOS = [
     kronecker._pack,
     kronecker._conjugate,
     verify._direct_memo,
+    verify._expansion,
 ]
 
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,137 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
 
     serial = run_suite("reduction", 3)
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
+    # The CPUs this process may run on, not all the machine has, where the platform can tell.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_suite("reduction", 3, jobs=64) == serial
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cpus in (1, None):  # os.cpu_count() is None when it cannot tell
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_suite("reduction", 3, jobs=64) == serial
+
+
+def shard_results(names, max_m, nshards):
+    """Each shard's results, swept one after another in this process."""
+    return [verify_mod._shard(names, max_m, shard, nshards) for shard in range(nshards)]
+
+
+@pytest.mark.parametrize("suite", sorted(verify_mod.SUITES))
+def test_shards_split_the_instances_exactly(suite):
+    serial = run_suite(suite, 4)
+    assert all(res.checked for res in serial if res.name != "formula-consistency")
+    for nshards in range(1, 5):
+        outs = shard_results((suite,), 4, nshards)
+        for res, props in zip(serial, zip(*outs), strict=True):
+            assert {name for name, _, _ in props} == {res.name}
+            assert sum(checked for _, checked, _ in props) == res.checked
+
+
+def test_counterexamples_do_not_depend_on_shards(monkeypatch):
+    # A wrong oracle fails stability and reduction here and there, and a wrong
+    # lr_pair_count fails both lr properties for every pi of even length.
+    real_lr = verify_mod.lr_pair_count
+    monkeypatch.setattr(verify_mod, "kron_coeff_direct", lambda lam, mu, nu: lam.size // 3)
+    monkeypatch.setattr(
+        verify_mod, "lr_pair_count", lambda lam, mu, pi: real_lr(lam, mu, pi) - 1 + len(pi) % 2
+    )
+    names = ("stability", "reduction", "lr")
+    serial = [res for suite in names for res in run_suite(suite, 5)]
+    assert all(len(res.failures) == verify_mod.MAX_COUNTEREXAMPLES for res in serial)
+    for nshards in range(1, 5):
+        assert verify_mod._merge(shard_results(names, 5, nshards)) == serial
+
+
+class CountingPool:
+    """A ProcessPoolExecutor stand-in that maps in this process and counts its builds."""
+
+    built = 0
+
+    def __init__(self, max_workers):
+        CountingPool.built += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_one_pool_per_run(monkeypatch):
+    serial = run_suite("all", 3)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    CountingPool.built = 0
+    assert run_suite("all", 3, jobs=2) == serial
+    assert CountingPool.built == 1
+
+
+def assignment(suite, max_m, nshards):
+    """{unit: shard} for every unit the suite's sweep checks, each shard swept in process."""
+    seen = {}
+
+    def record(shard):
+        def check(unit):
+            assert unit not in seen
+            seen[unit] = shard
+            return ()
+
+        return check
+
+    for shard in range(nshards):
+        verify_mod.SUITES[suite]._replace(check=record(shard))(max_m, shard, nshards)
+    return seen
+
+
+@pytest.mark.parametrize("nshards", [2, 3])
+def test_shards_own_their_memo_keys(nshards):
+    stability = assignment("stability", 5, nshards)
+    for triple, shard in stability.items():
+        for order in permutations(triple):
+            assert stability[order] == shard
+    lr = assignment("lr", 5, nshards)
+    by_pi = {}
+    for (lam, mu, pi), shard in lr.items():
+        assert by_pi.setdefault(pi, shard) == shard
+    for seen in (stability, lr):
+        counts = Counter(seen.values())
+        assert len(counts) == nshards
+        assert max(counts.values()) < 1.5 * len(seen) / nshards
+
+
+def test_shards_do_not_depend_on_the_hash_seed():
+    script = textwrap.dedent(
+        """
+        import json
+        from kronkit.verify import SUITES
+
+        def shards(suite, nshards):
+            out = []
+            for shard in range(nshards):
+                def record(unit, shard=shard):
+                    out.append((repr(unit), shard))
+                    return ()
+
+                SUITES[suite]._replace(check=record)(5, shard, nshards)
+            return sorted(out)
+
+        print(json.dumps({f"{s} {n}": shards(s, n) for s in SUITES for n in (2, 3)}))
+        """
+    )
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    assert len(outs[0]["lr 2"]) == 505  # 1 + 1 + 8 + 27 + 125 + 343 units
 
 
 def test_bench_tracer_sees_every_suite():
@@ -95,6 +225,7 @@ def test_memo_is_emptied_when_a_sweep_fails(monkeypatch):
 
 def test_stability_bytes_do_not_depend_on_jobs(capsys, monkeypatch):
     # At m = 7 the sweep outgrows the memo's cap, so entries are evicted too.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
     outs = []
     for jobs in ("1", "2"):
