@@ -25,30 +25,21 @@ from .partitions import (
     intersect,
     parse_partition,
     partitions_of,
-    skew,
     subtract_rectangle,
 )
 from .lr import (
     kostka,
     lr_coeff,
     lr_pair_count,
-    multitableau_count,
     perm_character_decomp,
 )
 from .characters import (
-    CharacterVector,
-    CycleType,
     character_row,
-    character_table,
-    class_size,
     class_weights,
     cycle_sign,
     cycle_types,
     dimension,
-    inner_product,
-    irreducible_character,
     mn_value,
-    permutation_character,
     skew_character,
 )
 from .reductions import (
@@ -69,5 +60,14 @@ from .kronecker import (
     kron_coeff_direct,
     kron_expand,
 )
+
+from . import characters, errors, kronecker, lr, partitions, reductions
+
+# The public surface: the __all__ of each layer, and nothing else.
+__all__ = [
+    name
+    for layer in (errors, partitions, lr, characters, reductions, kronecker)
+    for name in layer.__all__
+]
 
 __version__ = "0.1.0"

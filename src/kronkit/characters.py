@@ -16,10 +16,10 @@ memo here is an lru_cache of one key.  mn_value makes the same strip moves
 over the parts of one cycle type, for single values at sizes where no row
 fits in memory.
 
-Class sizes, dimensions (by the same hook lengths), and inner products
-round out the ground-truth layer that every fast path in the package is
-checked against.  A class function is one integer row in cycle_types(n)
-order.
+Class sizes n!/z_rho, dimensions (by the same hook lengths), and skew
+characters round out the ground-truth layer that every fast path is checked
+against.  A character is one integer row in cycle_types(n) order, as
+character_row returns it; kronecker holds the class sums over such rows.
 All arithmetic is plain Python integers, so nothing ever overflows or rounds.
 """
 
@@ -27,35 +27,23 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import ExactnessError, ShapeError, SizeMismatchError
-from .lr import lr_coeff, perm_character_decomp
-from .partitions import Composition, Partition, SkewShape, cycle_types, partitions_of
+from .errors import SizeMismatchError
+from .lr import lr_coeff
+from .partitions import Partition, SkewShape, cycle_types, partitions_of
 
 __all__ = [
-    "CycleType",
-    "CharacterVector",
     "cycle_types",
-    "class_size",
     "class_weights",
     "mn_value",
     "character_row",
-    "character_table",
-    "irreducible_character",
-    "permutation_character",
-    "inner_product",
     "dimension",
     "cycle_sign",
     "skew_character",
 ]
-
-# A cycle type is just a partition of n recording cycle lengths.
-CycleType = Partition
-
 
 # Guards _rows below, the one memo whose entries grow in place.
 _lock = threading.Lock()
@@ -93,15 +81,9 @@ def _centralizer(rho: Partition) -> int:
     return z
 
 
-def class_size(rho: Iterable[int]) -> int:
-    """Number of permutations of cycle type rho (n! over the centralizer)."""
-    rho = Partition(rho)
-    return math.factorial(rho.size) // _centralizer(rho)
-
-
 @lru_cache(maxsize=None)
 def class_weights(n: int) -> tuple[int, ...]:
-    """class_size over cycle_types(n), in that order."""
+    """The class sizes n!/z_rho over cycle_types(n), in that order."""
     order = math.factorial(n)
     return tuple([order // _centralizer(rho) for rho in cycle_types(n)])
 
@@ -248,76 +230,6 @@ def cycle_sign(rho: Iterable[int]) -> int:
     """Sign of any permutation of cycle type rho."""
     rho = Partition(rho)
     return -1 if (rho.size - rho.length) % 2 else 1
-
-
-def _class_sum(total: int, n: int, what: Callable[[], str]) -> int:
-    """total / n!, the one division of a class sum; what() names the inputs
-    for the ExactnessError a remainder raises, and runs only then."""
-    value, rem = divmod(total, math.factorial(n))
-    if rem:
-        raise ExactnessError(f"{what()} gave {total}/{n}!")
-    return value
-
-
-@dataclass(frozen=True)
-class CharacterVector:
-    """An exact class function on S_degree: one integer per cycle type.
-
-    row follows cycle_types(degree), as character_row does.  Covers genuine
-    and virtual characters alike; the pointwise product below is the
-    Kronecker (tensor) product of characters.
-    """
-
-    degree: int
-    row: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "row", tuple(self.row))
-        classes = len(cycle_types(self.degree))
-        if len(self.row) != classes:
-            raise ShapeError(f"{len(self.row)} values for {classes} classes of S_{self.degree}")
-
-    def __call__(self, rho: Iterable[int]) -> int:
-        rho = Partition(rho)
-        if rho.size != self.degree:
-            raise SizeMismatchError(f"|{rho!r}| = {rho.size} but the degree is {self.degree}")
-        return self.row[_places(self.degree)[rho]]
-
-    def tensor(self, other: "CharacterVector") -> "CharacterVector":
-        if self.degree != other.degree:
-            raise SizeMismatchError(f"degrees differ: {self.degree} != {other.degree}")
-        return CharacterVector(self.degree, tuple(x * y for x, y in zip(self.row, other.row)))
-
-
-def irreducible_character(lam: Iterable[int]) -> CharacterVector:
-    """The irreducible character chi^lam as a CharacterVector."""
-    lam = Partition(lam)
-    return CharacterVector(lam.size, character_row(lam))
-
-
-def permutation_character(pi: Iterable[int]) -> CharacterVector:
-    """Induced from the trivial character of S_pi: sum of K_{nu,pi} chi^nu (Young's rule)."""
-    pi = Composition(pi)
-    terms = [[k * x for x in character_row(nu)] for nu, k in perm_character_decomp(pi).items()]
-    return CharacterVector(pi.size, tuple(map(sum, zip(*terms))))
-
-
-def character_table(n: int) -> dict[Partition, CharacterVector]:
-    """All rows chi^lam for lam of n, keyed by lam.
-
-    Rows and the columns inside each CharacterVector both follow the
-    reverse lex order of cycle_types(n).
-    """
-    return {lam: irreducible_character(lam) for lam in cycle_types(n)}
-
-
-def inner_product(phi: CharacterVector, psi: CharacterVector) -> int:
-    """Class-weighted inner product of two class functions; always exact here."""
-    if phi.degree != psi.degree:
-        raise SizeMismatchError(f"degrees differ: {phi.degree} != {psi.degree}")
-    n = phi.degree
-    total = sum(w * x * y for w, x, y in zip(class_weights(n), phi.row, psi.row))
-    return _class_sum(total, n, lambda: f"inner product of {phi!r} and {psi!r}")
 
 
 def skew_character(shape: SkewShape) -> dict[Partition, int]:

@@ -1,5 +1,7 @@
 """Exception types shared across the package; this module holds nothing else."""
 
+__all__ = ["KronkitError", "PartitionError", "SizeMismatchError", "ShapeError", "ExactnessError"]
+
 
 class KronkitError(Exception):
     """Base class for every error raised by kronkit."""
@@ -20,7 +22,7 @@ class ShapeError(KronkitError, ValueError):
 class ExactnessError(KronkitError, ArithmeticError):
     """An exact integer division left a remainder.
 
-    Inner products and coefficient sums here are always exact when the inputs
-    are genuine characters, so this signals an internal bug, not bad input.
+    Class sums here are always exact when the inputs are genuine
+    characters, so this signals an internal bug, not bad input.
     """
 

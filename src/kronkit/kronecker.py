@@ -37,7 +37,7 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Mapping
 
-from .characters import _class_sum, _places, character_row, class_weights, cycle_sign, cycle_types
+from .characters import _places, character_row, class_weights, cycle_sign, cycle_types
 from .characters import skew_character
 from .errors import ExactnessError
 from .partitions import Partition, SkewShape, coerce_same_size, conjugate, intersect
@@ -73,9 +73,10 @@ def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
-    # Unlike an inner product of virtual characters, a multiplicity is >= 0.
-    value = _class_sum(total, m, what)
-    if value < 0:
+    # total / m!, the one division of every class sum.  what() names the
+    # inputs for the ExactnessError that a remainder or a value < 0 raises.
+    value, rem = divmod(total, math.factorial(m))
+    if rem or value < 0:
         raise ExactnessError(f"{what()} gave {total}/{m}!")
     return value
 
@@ -139,7 +140,7 @@ def _pack(m: int) -> _Packed:
     place = _places(m)
     pairs = []
     for i, nu in enumerate(types):
-        j = place[nu.conjugate()]
+        j = place[conjugate(nu)]
         if i <= j:
             pairs.append((i, j))
     rows = [character_row(types[i]) for i, _ in pairs]

@@ -10,14 +10,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count, product
 from operator import ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import SizeMismatchError
 from .partitions import Composition, Partition, SkewShape, _partitions_between, cycle_types
 
 __all__ = [
     "lr_coeff",
-    "multitableau_count",
     "lr_pair_count",
     "kostka",
     "perm_character_decomp",
@@ -83,22 +82,12 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
     return total
 
 
-def multitableau_count(lam: Iterable[int], contents: Sequence[Iterable[int]]) -> int:
-    """Littlewood-Richardson multitableaux of shape lam with these contents.
-
-    A multitableau is a chain of partitions from the empty shape up to lam
-    whose i-th skew layer carries an LR filling of content contents[i]; the
-    count sums the product of layer coefficients over all chains.
-    """
-    lam = Partition(lam)
-    contents = tuple(Partition(c) for c in contents)
-    if sum(c.size for c in contents) != lam.size:
-        raise SizeMismatchError(f"contents sum to {sum(c.size for c in contents)}, not {lam.size}")
-    return _multi(tuple(lam), tuple(tuple(c) for c in contents))
-
-
 @lru_cache(maxsize=None)
 def _multi(lam: tuple[int, ...], contents: tuple[tuple[int, ...], ...]) -> int:
+    """LR multitableaux of shape lam with these contents: chains of shapes
+    from () up to lam whose i-th skew layer has an LR filling of content
+    contents[i], each weighted by the product of its layer coefficients.
+    Contents whose sizes do not add up to |lam| count none."""
     # Walk the chains down from lam, one content at a time from the last,
     # keeping {shape: weighted number of chains from lam down to it}.
     layer = {lam: 1}

@@ -28,7 +28,6 @@ __all__ = [
     "intersect",
     "add_rectangle",
     "subtract_rectangle",
-    "skew",
     "partitions_of",
     "parse_partition",
     "format_partition",
@@ -84,9 +83,6 @@ class Partition(tuple):
     def part(self, i: int) -> int:
         """Row i (0-based), implicitly zero beyond the last row."""
         return self[i] if 0 <= i < len(self) else 0
-
-    def conjugate(self) -> "Partition":
-        return conjugate(self)
 
     def contains(self, other: Iterable[int]) -> bool:
         """Row-wise containment of diagrams: other[i] <= self[i] everywhere."""
@@ -148,12 +144,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """(row, col) pairs in row-major order, 0-based."""
-        for i, row in enumerate(self.outer):
-            for j in range(self.inner.part(i), row):
-                yield (i, j)
-
 
 def coerce_same_size(*parts: Iterable[int]) -> tuple[Partition, ...]:
     """The arguments as Partitions, which must all have the same size.
@@ -205,11 +195,6 @@ def subtract_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
     if lam.part(rect.height - 1) < rect.width:
         raise ShapeError(f"{lam!r} has a part below {rect.width} within {rect.height} rows")
     return Partition(lam.part(i) - rect.width for i in range(rect.height))
-
-
-def skew(lam: Iterable[int], delta: Iterable[int]) -> SkewShape:
-    """The skew diagram lam/delta; rejects delta not contained in lam."""
-    return SkewShape(Partition(lam), Partition(delta))
 
 
 def partitions_of(

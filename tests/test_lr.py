@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,17 +12,16 @@ import pytest
 from kronkit import (
     Partition,
     SizeMismatchError,
+    SkewShape,
+    character_row,
+    class_weights,
     dimension,
-    inner_product,
-    irreducible_character,
     kostka,
     lr_coeff,
     lr_pair_count,
-    multitableau_count,
     perm_character_decomp,
-    permutation_character,
-    skew,
 )
+from kronkit.lr import _multi
 from kronkit.partitions import partitions_of
 from oracles import brute_lr_count, brute_ssyt_count
 
@@ -30,21 +30,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 class TestLrCoeff:
     def test_straight_shape_examples(self):
-        assert lr_coeff(skew((2, 1), ()), (2, 1)) == 1
-        assert lr_coeff(skew((2, 1), ()), (1, 1, 1)) == 0
+        assert lr_coeff(SkewShape((2, 1), ()), (2, 1)) == 1
+        assert lr_coeff(SkewShape((2, 1), ()), (1, 1, 1)) == 0
 
     def test_skew_example(self):
-        assert lr_coeff(skew((2, 2), (1,)), (2, 1)) == 1
+        assert lr_coeff(SkewShape((2, 2), (1,)), (2, 1)) == 1
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
-            lr_coeff(skew((2, 2), (1,)), (2, 2))
+            lr_coeff(SkewShape((2, 2), (1,)), (2, 2))
 
     def test_straight_shape_rule(self):
         # on a straight shape the count is 1 when content equals the shape, else 0
         for m in range(7):
             for lam in partitions_of(m):
-                shape = skew(lam, ())
+                shape = SkewShape(lam, ())
                 for rho in partitions_of(m):
                     assert lr_coeff(shape, rho) == (1 if rho == lam else 0)
 
@@ -55,7 +55,7 @@ class TestLrCoeff:
                     for inner in partitions_of(inner_size):
                         if not outer.contains(inner):
                             continue
-                        shape = skew(outer, inner)
+                        shape = SkewShape(outer, inner)
                         for content in partitions_of(shape.size):
                             assert lr_coeff(shape, content) == brute_lr_count(
                                 tuple(outer), tuple(inner), tuple(content)
@@ -63,29 +63,26 @@ class TestLrCoeff:
 
 
 class TestMultitableau:
+    # _multi takes lam and the contents as tuples of ints, as lr_pair_count passes them.
     def test_single_boxes_count_standard_tableaux(self):
-        assert multitableau_count((2, 1), [(1,), (1,), (1,)]) == 2
+        assert _multi((2, 1), ((1,), (1,), (1,))) == 2
         for m in range(1, 6):
-            ones = [(1,)] * m
+            ones = ((1,),) * m
             for lam in partitions_of(m):
-                assert multitableau_count(lam, ones) == dimension(lam)
+                assert _multi(tuple(lam), ones) == dimension(lam)
 
     def test_whole_partition_content(self):
         for lam in [(3,), (2, 2), (3, 2, 1)]:
-            assert multitableau_count(lam, [lam]) == 1
+            assert _multi(lam, (lam,)) == 1
 
     def test_two_layer_example(self):
-        assert multitableau_count((2, 2), [(2,), (2,)]) == 1
+        assert _multi((2, 2), ((2,), (2,))) == 1
 
     def test_single_layer_reduces_to_lr(self):
         for m in range(6):
             for lam in partitions_of(m):
                 for rho in partitions_of(m):
-                    assert multitableau_count(lam, [rho]) == lr_coeff(skew(lam, ()), rho)
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            multitableau_count((2, 1), [(1,), (1,)])
+                    assert _multi(tuple(lam), (tuple(rho),)) == lr_coeff(SkewShape(lam, ()), rho)
 
 
 class TestLrPairCount:
@@ -121,15 +118,21 @@ class TestLrPairCount:
         assert lr_pair_count((3, 1), (2, 2), (1, 3)) == lr_pair_count((3, 1), (2, 2), (3, 1))
 
     def test_matches_character_inner_product(self):
-        # pair counts with shared content realize <chi x chi, perm character>
+        # Pair counts with shared content realize <chi^lam chi^mu, phi^pi>, the
+        # class sum of w * chi^lam * chi^mu * phi^pi over m!, where phi^pi is the
+        # permutation character sum_nu K_{nu,pi} chi^nu (Young's rule).
         for m in range(1, 5):
             parts = list(partitions_of(m))
-            for lam in parts:
-                for mu in parts:
-                    tensor = irreducible_character(lam).tensor(irreducible_character(mu))
-                    for pi in parts:
-                        want = inner_product(tensor, permutation_character(pi))
-                        assert lr_pair_count(lam, mu, pi) == want
+            for pi in parts:
+                decomp = perm_character_decomp(pi)
+                terms = [[k * x for x in character_row(nu)] for nu, k in decomp.items()]
+                phi = [sum(column) for column in zip(*terms)]
+                for lam in parts:
+                    for mu in parts:
+                        rows = zip(class_weights(m), character_row(lam), character_row(mu), phi)
+                        total = sum(w * x * y * z for w, x, y, z in rows)
+                        assert total % math.factorial(m) == 0
+                        assert lr_pair_count(lam, mu, pi) == total // math.factorial(m)
 
 
 class TestKostka:
@@ -198,19 +201,19 @@ class TestRecursionLimit:
     """
 
     def test_lr_coeff(self):
-        assert lr_coeff(skew((3000,), ()), (3000,)) == 1
+        assert lr_coeff(SkewShape((3000,), ()), (3000,)) == 1
 
     def test_lr_coeff_column(self):
         # The values placed in a column are 1..1500, so none above the next
         # one is tried at a cell.
-        assert lr_coeff(skew((1,) * 1500, ()), (1,) * 1500) == 1
+        assert lr_coeff(SkewShape((1,) * 1500, ()), (1,) * 1500) == 1
 
     def test_kostka(self):
         assert kostka((1500,), (1,) * 1500) == 1
         assert kostka((1,) * 1500, (1,) * 1500) == 1
 
     def test_multitableau_count(self):
-        assert multitableau_count((1500,), [(1,)] * 1500) == 1
+        assert _multi((1500,), ((1,),) * 1500) == 1
 
     def test_lr_pair_count(self):
         assert lr_pair_count((1500,), (1500,), (1,) * 1500) == 1
@@ -219,8 +222,9 @@ class TestRecursionLimit:
         # A memo filled by an earlier call once decided whether a call got
         # past the stack limit, so these run in a fresh interpreter.
         script = (
-            "from kronkit import kostka, multitableau_count\n"
-            "print(kostka((1500,), (1,) * 1500), multitableau_count((1500,), [(1,)] * 1500))\n"
+            "from kronkit import kostka\n"
+            "from kronkit.lr import _multi\n"
+            "print(kostka((1500,), (1,) * 1500), _multi((1500,), ((1,),) * 1500))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

@@ -7,6 +7,7 @@ from kronkit import (
     PartitionError,
     Rectangle,
     ShapeError,
+    SkewShape,
     add_rectangle,
     conjugate,
     cycle_types,
@@ -15,7 +16,6 @@ from kronkit import (
     kron_coeff,
     parse_partition,
     partitions_of,
-    skew,
     subtract_rectangle,
 )
 from kronkit.characters import _counts
@@ -212,27 +212,29 @@ class TestRectangles:
 
 class TestSkew:
     def test_single_box(self):
-        shape = skew((3, 1), (2, 1))
+        shape = SkewShape((3, 1), (2, 1))
         assert shape.size == 1
-        assert list(shape.cells()) == [(0, 2)]
+        assert (shape.outer, shape.inner) == (Partition((3, 1)), Partition((2, 1)))
 
     def test_empty(self):
         lam = Partition((3, 2))
-        assert skew(lam, lam).size == 0
+        assert SkewShape(lam, lam).size == 0
 
     def test_corner_box(self):
-        assert list(skew((2, 2), (2, 1)).cells()) == [(1, 1)]
+        assert SkewShape((2, 2), (2, 1)).size == 1
 
     def test_rejects_non_contained(self):
         with pytest.raises(ShapeError):
-            skew((2, 2), (3,))
+            SkewShape((2, 2), (3,))
 
     @given(partitions_st(), partitions_st())
     def test_cardinality(self, lam, mu):
+        # size is the cells row by row: outer[i] - inner[i] >= 0 on every row
         inner = intersect(lam, mu)
-        shape = skew(lam, inner)
-        assert shape.size == lam.size - inner.size
-        assert len(list(shape.cells())) == shape.size
+        shape = SkewShape(lam, inner)
+        widths = [a - inner.part(i) for i, a in enumerate(lam)]
+        assert min(widths, default=0) >= 0
+        assert shape.size == sum(widths) == lam.size - inner.size
 
 
 class TestPartitionsOf:
