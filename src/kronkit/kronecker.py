@@ -31,11 +31,10 @@ packed columns of S_m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .characters import _places, character_row, class_weights, cycle_sign, cycle_types
 from .characters import skew_character
@@ -81,15 +80,20 @@ def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class KroneckerExpansion:
     """Nonzero multiplicities in chi^lam (x) chi^mu, keyed by partition.
 
     Zero entries are omitted; keys iterate in reverse lex order.
     """
 
-    degree: int
-    values: Mapping[Partition, int]
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree: int, values: Mapping[Partition, int]):
+        self.degree = degree
+        self.values = values
+
+    def __repr__(self) -> str:
+        return f"KroneckerExpansion(degree={self.degree!r}, values={self.values!r})"
 
     def __getitem__(self, nu) -> int:
         return self.values.get(Partition(nu), 0)
@@ -98,8 +102,7 @@ class KroneckerExpansion:
         return self.values.items()
 
 
-@dataclass(frozen=True)
-class _Packed:
+class _Packed(NamedTuple):
     """The character table of S_m packed for kron_expand, one int per class.
 
     pairs[k] holds the places in cycle_types(m) of the k-th nu with a field

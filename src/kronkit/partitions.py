@@ -12,7 +12,7 @@ sub-shapes of a shape, and horizontal strips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -115,30 +115,36 @@ class Composition(tuple):
         return sum(self)
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(namedtuple("Rectangle", "width height")):
     """height rows of width boxes each: the partition (width, ..., width)."""
 
-    width: int
-    height: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ShapeError(f"rectangle sides must be positive: {self.width}x{self.height}")
+    def __new__(cls, width: int, height: int):
+        if width < 1 or height < 1:
+            raise ShapeError(f"rectangle sides must be positive: {width}x{height}")
+        return super().__new__(cls, width, height)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the checks in __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "outer inner")):
     """Cells of outer not in inner, for inner contained in outer."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
-        if not self.outer.contains(self.inner):
-            raise ShapeError(f"{self.inner!r} is not contained in {self.outer!r}")
+    def __new__(cls, outer: Iterable[int], inner: Iterable[int]):
+        outer, inner = Partition(outer), Partition(inner)
+        if not outer.contains(inner):
+            raise ShapeError(f"{inner!r} is not contained in {outer!r}")
+        return super().__new__(cls, outer, inner)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def size(self) -> int:

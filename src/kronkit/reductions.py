@@ -14,7 +14,7 @@ hands its after-triple on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ShapeError
@@ -43,24 +43,27 @@ def ceil_half(a: int) -> int:
     return (a + 1) // 2
 
 
-@dataclass(frozen=True)
-class RectangleFrame:
+class RectangleFrame(namedtuple("RectangleFrame", "p q r t")):
     """Row counts (p, q, r) with p = q*r, plus the rectangle width t.
 
     The three rectangles (t)^p, (rt)^q, (qt)^r all hold p*t boxes, so
     adding or removing them keeps the triple sizes equal.
     """
 
-    p: int
-    q: int
-    r: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.p, self.q, self.r, self.t) < 1:
+    def __new__(cls, p: int, q: int, r: int, t: int):
+        self = super().__new__(cls, p, q, r, t)
+        if min(self) < 1:
             raise ShapeError(f"frame entries must be positive: {self}")
-        if self.p != self.q * self.r:
-            raise ShapeError(f"need p = q*r, got p={self.p}, q={self.q}, r={self.r}")
+        if p != q * r:
+            raise ShapeError(f"need p = q*r, got p={p}, q={q}, r={r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the checks in __new__.
+        return cls(*iterable)
 
 
 class TraceStep(NamedTuple):
@@ -93,11 +96,16 @@ class TraceStep(NamedTuple):
         return obj
 
 
-@dataclass
 class ReductionTrace:
     """Ordered record of dispatcher steps; the final step carries the value."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[TraceStep] | None = None):
+        self.steps = [] if steps is None else steps
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={self.steps!r})"
 
     def add(self, step: TraceStep) -> None:
         self.steps.append(step)

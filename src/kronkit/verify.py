@@ -24,8 +24,6 @@ ends on a shard, so no value outlives one sweep.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, product
 from operator import itemgetter
@@ -44,11 +42,10 @@ __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
 MAX_COUNTEREXAMPLES = 5
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    checked: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -260,5 +257,8 @@ def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
     jobs = max(1, min(jobs, _cpus()))
     if jobs == 1:
         return _merge([_shard(names, max_m)])
+    # Imported here, so that only a run with a pool loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return _merge(pool.map(partial(_shard, names, max_m, nshards=jobs), range(jobs)))

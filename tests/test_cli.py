@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -294,7 +295,7 @@ class TestVerify:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(verify_mod, "kron_coeff_direct", lambda lam, mu, nu: lam.size)
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
         argv = ("verify", "--max-m", "6", "--suite", "reduction")

@@ -2,9 +2,11 @@ import pytest
 
 from kronkit import (
     Partition,
+    Rectangle,
     RectangleFrame,
     ShapeError,
     SizeMismatchError,
+    SkewShape,
     TraceStep,
     ceil_half,
     dvir_reduce,
@@ -40,6 +42,31 @@ class TestRectangleFrame:
             RectangleFrame(4, 2, 3, 1)
         with pytest.raises(ShapeError):
             RectangleFrame(4, 2, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "record, text, bad",
+    [
+        (RectangleFrame(4, 2, 2, 1), "RectangleFrame(p=4, q=2, r=2, t=1)", {"t": 0}),
+        (Rectangle(3, 2), "Rectangle(width=3, height=2)", {"width": 0}),
+        # The repr shows that both fields became Partitions, trailing zero dropped.
+        (
+            SkewShape([3, 1, 0], (2,)),
+            "SkewShape(outer=Partition((3, 1)), inner=Partition((2,)))",
+            {"inner": (4,)},
+        ),
+    ],
+)
+def test_records(record, text, bad):
+    assert repr(record) == text
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    # A changed copy is checked like a new record.
+    with pytest.raises(ShapeError):
+        record._replace(**bad)
 
 
 class TestStabilityInflate:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -22,7 +23,8 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         raise AssertionError("a process pool was started")
 
     serial = run_suite("reduction", 3)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
+    # run_suite imports the pool class when it needs one, so the stand-in goes where it looks.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     # The CPUs this process may run on, not all the machine has, where the platform can tell.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -84,7 +86,7 @@ class CountingPool:
 
 def test_one_pool_per_run(monkeypatch):
     serial = run_suite("all", 3)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     CountingPool.built = 0
