@@ -3,12 +3,18 @@
 The counting here is deliberate brute force: backtracking over cells and
 loops over chains of shapes rather than bijective or polytope methods.  At
 desk scale that is fast enough, and it keeps every number auditable.
+
+The LR pair count of (lam, mu; pi) is the dot product of two tables, one
+per shape, of {contents: weighted chains of shapes}.  A table is built once
+per shape and sorted pi, by one walk down from the shape that takes the
+contents from the last to the first: every contents tuple with the same
+suffix shares the layer of shapes that suffix leaves.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import compress, count
 from operator import ne
 from typing import Iterable, Iterator
 
@@ -83,33 +89,58 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _multi(lam: tuple[int, ...], contents: tuple[tuple[int, ...], ...]) -> int:
-    """LR multitableaux of shape lam with these contents: chains of shapes
-    from () up to lam whose i-th skew layer has an LR filling of content
-    contents[i], each weighted by the product of its layer coefficients.
-    Contents whose sizes do not add up to |lam| count none."""
+def _chains(lam: tuple[int, ...], sizes: tuple[int, ...]) -> dict[tuple, int]:
+    """{contents: LR multitableaux of shape lam with these contents}, for every
+    tuple of contents, contents[i] a partition of sizes[i], that has one.
+
+    An LR multitableau is a chain of shapes from () up to lam whose i-th skew
+    layer has an LR filling of content contents[i], weighted by the product
+    of its layer coefficients.  Sizes that do not add up to |lam| have none.
+    The table is shared, so callers must not change it.
+    """
     # Walk the chains down from lam, one content at a time from the last,
-    # keeping {shape: weighted number of chains from lam down to it}.
-    layer = {lam: 1}
-    for content in reversed(contents):
-        k = sum(content)
-        below = {}
-        for shape, count in layer.items():
-            for prev in _partitions_between(sum(shape) - k, (0,) * len(shape), shape):
-                c = _lr(shape, prev, content)
-                if c:
-                    below[prev] = below.get(prev, 0) + count * c
-        layer = below
-    return layer.get((), 0)
+    # keeping {shape: weighted number of chains from lam down to it}.  The
+    # contents tuples that share a suffix share its layer, so the walk is a
+    # depth-first search over suffixes, on a stack.
+    if not sizes:
+        return {} if lam else {(): 1}
+    table = {}
+    stack = [(len(sizes), (), {lam: 1})]
+    while stack:
+        i, suffix, layer = stack.pop()
+        k = sizes[i - 1]
+        if i == 1:
+            # A straight shape's only LR filling has the shape as its content.
+            for shape, count in layer.items():
+                if sum(shape) == k:
+                    table[(shape, *suffix)] = count
+            continue
+        steps = [
+            (shape, count, tuple(_partitions_between(sum(shape) - k, (0,) * len(shape), shape)))
+            for shape, count in layer.items()
+        ]
+        for content in cycle_types(k):
+            below = {}
+            for shape, count, prevs in steps:
+                for prev in prevs:
+                    c = _lr(shape, prev, content)
+                    if c:
+                        below[prev] = below.get(prev, 0) + count * c
+            if below:
+                stack.append((i - 1, (content, *suffix), below))
+    return table
 
 
 def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> int:
     """Pairs of LR multitableaux of shapes lam and mu sharing their contents.
 
     pi may be any composition; the count only depends on the multiset of
-    its parts, so it is sorted into a partition before enumerating content
-    sequences (each content sequence runs over partitions of the parts, in
-    reverse lex order).
+    its parts, so they are sorted in decreasing order, and contents[i] runs
+    over the partitions of the i-th of them.  The count is the dot product
+    of two sparse tables, {contents: multitableaux} for lam and for mu.  Each
+    table is built once per shape and sorted pi, by a walk from the last
+    content to the first in which the contents tuples that end alike share
+    the layers of their common suffix.
     """
     lam, mu = Partition(lam), Partition(mu)
     pi = Composition(pi)
@@ -117,14 +148,11 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
         raise SizeMismatchError(
             f"sizes differ: |{lam!r}|={lam.size}, |{mu!r}|={mu.size}, |{pi!r}|={pi.size}"
         )
-    pools = [cycle_types(k) for k in sorted(pi, reverse=True)]
-    lam_t, mu_t = tuple(lam), tuple(mu)
-    total = 0
-    for contents in product(*pools):
-        a = _multi(lam_t, contents)
-        if a:
-            total += a * _multi(mu_t, contents)
-    return total
+    sizes = tuple(sorted(pi, reverse=True))
+    a, b = _chains(lam, sizes), _chains(mu, sizes)
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(count * b.get(contents, 0) for contents, count in a.items())
 
 
 def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:

@@ -96,6 +96,9 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if type(parts) is Partition:
+            # A Partition's parts are positive ints already.
+            return tuple.__new__(cls, parts)
         parts = tuple(parts)
         for a in parts:
             if not isinstance(a, int) or isinstance(a, bool):
@@ -173,13 +176,15 @@ def conjugate(lam: Iterable[int]) -> Partition:
     for row in lam:
         for j in range(row):
             cols[j] += 1
-    return Partition(cols)
+    # Column lengths of a diagram are a partition, so they skip the checks;
+    # so do the derived shapes below.
+    return tuple.__new__(Partition, cols)
 
 
 def intersect(lam: Iterable[int], mu: Iterable[int]) -> Partition:
     """Row-wise minimum: the intersection of the two diagrams."""
     lam, mu = Partition(lam), Partition(mu)
-    return Partition(min(a, b) for a, b in zip(lam, mu))
+    return tuple.__new__(Partition, map(min, lam, mu))
 
 
 def add_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
@@ -190,17 +195,33 @@ def add_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
     lam = Partition(lam)
     if lam.length > rect.height:
         raise ShapeError(f"{lam!r} has more than {rect.height} rows")
-    return Partition(lam.part(i) + rect.width for i in range(rect.height))
+    return _widen(lam, rect.width, rect.height)
+
+
+def _widen(lam: Partition, width, height) -> Partition:
+    """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
+    if type(width) is int and type(height) is int and width > 0:
+        # Positive int parts, weakly decreasing, the last one at least width.
+        return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
+    return Partition(lam.part(i) + width for i in range(height))
 
 
 def subtract_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
     """Inverse of add_rectangle; every padded part must cover the width."""
     lam = Partition(lam)
-    if lam.length > rect.height:
-        raise ShapeError(f"{lam!r} has more than {rect.height} rows")
-    if lam.part(rect.height - 1) < rect.width:
-        raise ShapeError(f"{lam!r} has a part below {rect.width} within {rect.height} rows")
-    return Partition(lam.part(i) - rect.width for i in range(rect.height))
+    width, height = rect.width, rect.height
+    if lam.length > height:
+        raise ShapeError(f"{lam!r} has more than {height} rows")
+    if lam.part(height - 1) < width:
+        raise ShapeError(f"{lam!r} has a part below {width} within {height} rows")
+    if type(width) is not int or type(height) is not int or width <= 0:
+        return Partition(lam.part(i) - width for i in range(height))
+    # lam has exactly height rows, each at least width; the rows equal to
+    # width, a suffix, would leave trailing zeros.
+    end = len(lam)
+    while end and lam[end - 1] == width:
+        end -= 1
+    return tuple.__new__(Partition, [a - width for a in lam[:end]])
 
 
 def partitions_of(

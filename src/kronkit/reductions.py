@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ShapeError
-from .partitions import Partition, Rectangle, add_rectangle, coerce_same_size, subtract_rectangle
+from .partitions import Partition, Rectangle, _widen, coerce_same_size, subtract_rectangle
 
 __all__ = [
     "RectangleFrame",
@@ -131,15 +131,14 @@ def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     verification sweeps confirm this against the direct oracle.
     """
     lam, mu, nu = coerce_same_size(lam, mu, nu)
-    if lam.length > frame.p or mu.length > frame.q or nu.length > frame.r:
+    p, q, r, t = frame
+    if lam.length > p or mu.length > q or nu.length > r:
         raise ShapeError(
             f"lengths {(lam.length, mu.length, nu.length)} exceed frame {frame}"
         )
-    return (
-        add_rectangle(lam, Rectangle(frame.t, frame.p)),
-        add_rectangle(mu, Rectangle(frame.r * frame.t, frame.q)),
-        add_rectangle(nu, Rectangle(frame.q * frame.t, frame.r)),
-    )
+    # add_rectangle of (t)^p, (rt)^q, (qt)^r without building the Rectangles:
+    # the frame has checked that their sides are positive.
+    return _widen(lam, t, p), _widen(mu, r * t, q), _widen(nu, q * t, r)
 
 
 def rectangle_reduce(lam, mu, nu) -> TraceStep | None:

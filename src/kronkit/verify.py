@@ -56,8 +56,14 @@ def _fmt(*parts: Partition) -> str:
     return " ".join("[" + format_partition(p) + "]" for p in parts)
 
 
-# Frames (p, q, r) with p = q*r <= 6, the sweep space for stability checks.
-_FRAMES = tuple((q * r, q, r) for q in range(1, 7) for r in range(1, 7) if q * r <= 6)
+# Frames (p, q, r) with p = q*r <= 6, the sweep space for stability checks,
+# each with its RectangleFrames for t = 1 and 2, built once.
+_FRAMES = tuple(
+    (q * r, q, r, (RectangleFrame(q * r, q, r, 1), RectangleFrame(q * r, q, r, 2)))
+    for q in range(1, 7)
+    for r in range(1, 7)
+    if q * r <= 6
+)
 
 
 @lru_cache(maxsize=2048)
@@ -78,11 +84,12 @@ def _oracle(name: str, triple, got: int, label: str = "gave"):
 
 
 def _check_stability(triple):
-    lam, mu, nu = triple
-    fits = [(p, q, r) for p, q, r in _FRAMES if len(lam) <= p and len(mu) <= q and len(nu) <= r]
+    a, b, c = map(len, triple)
+    fits = [f for p, q, r, frames in _FRAMES if a <= p and b <= q and c <= r for f in frames]
     base = _direct(triple) if fits else None
-    for (p, q, r), t in product(fits, (1, 2)):
-        got = _direct(stability_inflate(*triple, RectangleFrame(p, q, r, t)))
+    for frame in fits:
+        got = _direct(stability_inflate(*triple, frame))
+        p, q, r, t = frame
         yield "stability", got != base and (
             f"{_fmt(*triple)} frame (p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
         )
@@ -141,14 +148,16 @@ def _expansion(lam, mu):
 
 def _check_lr(unit):
     lam, mu, pi = unit
-    expansion = _expansion(lam, mu)
+    # The keys are Partitions, as nu and pi are, so the map is read directly.
+    values = _expansion(lam, mu).values
     lrp = lr_pair_count(lam, mu, pi)
-    want = sum(k * expansion[nu] for nu, k in perm_character_decomp(pi).items())
+    want = sum(k * values.get(nu, 0) for nu, k in perm_character_decomp(pi).items())
     yield "lr-pair-identity", lrp != want and (
         f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
     )
-    yield "lr-dominates-kron", lrp < expansion[pi] and (
-        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {expansion[pi]}"
+    kron = values.get(pi, 0)
+    yield "lr-dominates-kron", lrp < kron and (
+        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {kron}"
     )
 
 

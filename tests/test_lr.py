@@ -8,6 +8,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kronkit import (
     Partition,
@@ -21,9 +22,9 @@ from kronkit import (
     lr_pair_count,
     perm_character_decomp,
 )
-from kronkit.lr import _multi
+from kronkit.lr import _chains
 from kronkit.partitions import partitions_of
-from oracles import brute_lr_count, brute_ssyt_count
+from oracles import brute_lr_count, brute_ssyt_count, brute_subshapes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,8 +63,14 @@ class TestLrCoeff:
                             )
 
 
+def _multi(lam, contents):
+    """LR multitableaux of shape lam with these contents, read from lam's
+    chain table; the contents come in decreasing order of size."""
+    return _chains(lam, tuple(map(sum, contents))).get(contents, 0)
+
+
 class TestMultitableau:
-    # _multi takes lam and the contents as tuples of ints, as lr_pair_count passes them.
+    # The chain tables take lam and the contents as tuples of ints.
     def test_single_boxes_count_standard_tableaux(self):
         assert _multi((2, 1), ((1,), (1,), (1,))) == 2
         for m in range(1, 6):
@@ -133,6 +140,50 @@ class TestLrPairCount:
                         total = sum(w * x * y * z for w, x, y, z in rows)
                         assert total % math.factorial(m) == 0
                         assert lr_pair_count(lam, mu, pi) == total // math.factorial(m)
+
+
+def reference_multi(lam, contents):
+    """LR multitableaux of shape lam with these contents, one chain walk per
+    contents tuple: {shape: weighted chains from lam down to it}, peeled one
+    content at a time from the last, with brute-force sub-shapes."""
+    layer = {tuple(lam): 1}
+    for content in reversed(contents):
+        k = sum(content)
+        below = {}
+        for shape, count in layer.items():
+            for prev in brute_subshapes(shape, sum(shape) - k) if sum(shape) >= k else ():
+                c = lr_coeff(SkewShape(shape, prev), content)
+                if c:
+                    below[prev] = below.get(prev, 0) + count * c
+        layer = below
+    return layer.get((), 0)
+
+
+def reference_pair_count(lam, mu, pi):
+    """lr_pair_count as a sum over every contents tuple of the product of the
+    two shapes' multitableau counts."""
+    pools = [list(partitions_of(k)) for k in sorted(pi, reverse=True)]
+    total = 0
+    for contents in product(*pools):
+        a = reference_multi(lam, contents)
+        if a:
+            total += a * reference_multi(mu, contents)
+    return total
+
+
+@st.composite
+def lr_triples(draw):
+    """(lam, mu, pi), all partitions of one m with 9 <= m <= 11."""
+    m = draw(st.integers(9, 11))
+    parts = st.sampled_from(list(partitions_of(m)))
+    return draw(parts), draw(parts), draw(parts)
+
+
+class TestLrPairCountBeyondPin:
+    @settings(max_examples=50, deadline=None)
+    @given(lr_triples())
+    def test_matches_product_over_contents(self, triple):
+        assert lr_pair_count(*triple) == reference_pair_count(*triple)
 
 
 class TestKostka:
@@ -223,8 +274,8 @@ class TestRecursionLimit:
         # past the stack limit, so these run in a fresh interpreter.
         script = (
             "from kronkit import kostka\n"
-            "from kronkit.lr import _multi\n"
-            "print(kostka((1500,), (1,) * 1500), _multi((1500,), ((1,),) * 1500))\n"
+            "from kronkit.lr import _chains\n"
+            "print(kostka((1500,), (1,) * 1500), _chains((1500,), (1,) * 1500)[((1,),) * 1500])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

@@ -15,7 +15,7 @@ MEMOS = [
     characters._places,
     characters._beta_set,
     lr._lr,
-    lr._multi,
+    lr._chains,
     lr._decomp,
     kronecker._pack,
     kronecker._conjugate,

@@ -210,6 +210,71 @@ class TestRectangles:
         assert subtract_rectangle(inflated, rect) == lam
 
 
+def assert_checked(x):
+    """x is a Partition, and Partition() would have built the same one."""
+    assert type(x) is Partition
+    assert x == Partition(tuple(x))
+    assert 0 not in x and all(type(a) is int for a in x)
+
+
+class TestDerivedPartitions:
+    """The shapes built from checked ones skip the checks, so they must be
+    weakly decreasing positive ints with no trailing zeros by construction."""
+
+    @given(partitions_st(), partitions_st())
+    def test_conjugate_and_intersect(self, lam, mu):
+        assert_checked(conjugate(lam))
+        assert_checked(intersect(lam, mu))
+        assert intersect(lam, mu) == Partition(min(a, b) for a, b in zip(lam, mu))
+
+    @given(partitions_st(max_rows=4), st.integers(1, 5), st.integers(0, 3))
+    def test_add_and_subtract(self, lam, width, extra):
+        height = max(1, lam.length + extra)
+        rect = Rectangle(width, height)
+        inflated = add_rectangle(lam, rect)
+        assert_checked(inflated)
+        assert inflated == Partition(lam.part(i) + width for i in range(height))
+        # lam has fewer rows than the rectangle whenever extra > 0, so the
+        # difference ends in zeros before they are stripped.
+        back = subtract_rectangle(inflated, rect)
+        assert_checked(back)
+        assert back == lam
+
+    @given(partitions_st(max_rows=5), st.integers(1, 4), st.integers(1, 5))
+    def test_subtract_any_rectangle_it_covers(self, lam, width, height):
+        if lam.length > height or lam.part(height - 1) < width:
+            with pytest.raises(ShapeError):
+                subtract_rectangle(lam, Rectangle(width, height))
+        else:
+            got = subtract_rectangle(lam, Rectangle(width, height))
+            assert_checked(got)
+            assert got == Partition(lam.part(i) - width for i in range(height))
+
+    def test_subtract_strips_zeros(self):
+        got = subtract_rectangle((3, 2, 2), Rectangle(2, 3))
+        assert_checked(got)
+        assert tuple(got) == (1,)
+        assert tuple(subtract_rectangle((2, 2), Rectangle(2, 2))) == ()
+
+    def test_rectangles_not_of_ints_are_checked(self):
+        # Rectangle checks only that its sides are at least 1.
+        with pytest.raises(PartitionError, match="must be integers, got 3.5"):
+            add_rectangle((2, 1), Rectangle(1.5, 2))
+        with pytest.raises(PartitionError, match="must be integers, got 1.5"):
+            subtract_rectangle((3, 2), Rectangle(1.5, 2))
+        got = add_rectangle((2, 1), Rectangle(True, 3))
+        assert_checked(got)
+        assert got == (3, 2, 1)
+
+    def test_bad_input_keeps_its_error(self):
+        with pytest.raises(PartitionError, match="must be integers, got True"):
+            add_rectangle((2, True), Rectangle(1, 2))
+        with pytest.raises(PartitionError, match="not weakly decreasing"):
+            add_rectangle((1, 2), Rectangle(1, 2))
+        with pytest.raises(ShapeError, match=r"Partition\(\(1, 1, 1\)\) has more than 2 rows"):
+            add_rectangle((1, 1, 1), Rectangle(1, 2))
+
+
 class TestSkew:
     def test_single_box(self):
         shape = SkewShape((3, 1), (2, 1))
@@ -392,3 +457,15 @@ class TestComposition:
     def test_rejects_bool(self):
         with pytest.raises(PartitionError):
             Composition((2, True))
+
+    def test_from_a_partition(self):
+        pi = Composition(Partition((3, 1, 1)))
+        assert type(pi) is Composition and pi == (3, 1, 1)
+        assert type(Composition(Partition())) is Composition
+
+    def test_other_input_is_checked(self):
+        # Only a Partition skips the checks; a tuple of the same parts does not.
+        with pytest.raises(PartitionError, match="must be positive"):
+            Composition((3, 0, 1))
+        with pytest.raises(PartitionError, match="must be integers, got 1.0"):
+            Composition([3, 1.0])

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from kronkit import (
     Partition,
+    PartitionError,
     Rectangle,
     RectangleFrame,
     ShapeError,
@@ -109,6 +111,47 @@ class TestStabilityInflate:
                                 continue
                             big = stability_inflate(lam, mu, nu, frame)
                             assert kron_coeff_direct(*big) == base
+
+
+@st.composite
+def framed_triples(draw):
+    """A triple of partitions of one m <= 6 and a frame with p <= 6 it fits."""
+    m = draw(st.integers(0, 6))
+    parts = st.sampled_from(list(partitions_of(m)))
+    triple = draw(parts), draw(parts), draw(parts)
+    q, r = draw(st.sampled_from([(q, r) for q in range(1, 7) for r in range(1, 7) if q * r <= 6]))
+    frame = RectangleFrame(q * r, q, r, draw(st.integers(1, 3)))
+    assume(all(len(lam) <= rows for lam, rows in zip(triple, frame[:3])))
+    return triple, frame
+
+
+class TestStabilityInflateChecks:
+    @given(framed_triples())
+    def test_results_are_checked_partitions(self, case):
+        triple, frame = case
+        p, q, r, t = frame
+        got = stability_inflate(*triple, frame)
+        for lam, rows, width, x in zip(triple, (p, q, r), (t, r * t, q * t), got):
+            assert type(x) is Partition
+            assert x == Partition(tuple(x)) and 0 not in x
+            assert x == Partition(lam.part(i) + width for i in range(rows))
+
+    def test_bad_input_keeps_its_error(self):
+        frame = RectangleFrame(4, 2, 2, 1)
+        with pytest.raises(PartitionError, match="must be integers, got True"):
+            stability_inflate((1, True), (2,), (2,), frame)
+        with pytest.raises(SizeMismatchError, match=r"sizes differ: \[2, 3, 2\]"):
+            stability_inflate((1, 1), (3,), (2,), frame)
+        with pytest.raises(ShapeError, match=r"lengths \(1, 3, 1\) exceed frame"):
+            stability_inflate((3,), (1, 1, 1), (3,), frame)
+
+    def test_frames_not_of_ints_are_checked(self):
+        # RectangleFrame checks only that its entries are at least 1 and p = q*r.
+        with pytest.raises(PartitionError, match="must be integers, got 2.5"):
+            stability_inflate((1,), (1,), (1,), RectangleFrame(1, 1, 1, 1.5))
+        got = stability_inflate((1,), (1,), (1,), RectangleFrame(1, 1, 1, True))
+        assert got == (P(2), P(2), P(2))
+        assert all(type(a) is int for x in got for a in x)
 
 
 class TestRectangleReduce:

@@ -5,13 +5,15 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
+import kronkit.lr as lr_mod
 import kronkit.verify as verify_mod
 from kronkit.cli import main
+from kronkit.partitions import cycle_types
 from kronkit.kronecker import kron_coeff_direct
 from kronkit.verify import run_suite
 
@@ -125,6 +127,27 @@ def test_shards_own_their_memo_keys(nshards):
         counts = Counter(seen.values())
         assert len(counts) == nshards
         assert max(counts.values()) < 1.5 * len(seen) / nshards
+
+
+def test_lr_shards_build_disjoint_chain_tables(monkeypatch):
+    # Units are sharded by pi's place, and a chain table is keyed by a shape
+    # and sorted pi, so no table is built on two shards.
+    chains = lr_mod._chains
+    keys = []
+
+    def recording(lam, sizes):
+        keys[-1].add((tuple(lam), sizes))
+        return chains(lam, sizes)
+
+    monkeypatch.setattr(lr_mod, "_chains", recording)
+    for shard in (0, 1):
+        chains.cache_clear()
+        keys.append(set())
+        verify_mod.SUITES["lr"](6, shard, 2)
+    assert keys[0] and keys[1]
+    assert not keys[0] & keys[1]
+    pairs = (product(cycle_types(m), repeat=2) for m in range(7))
+    assert keys[0] | keys[1] == {(tuple(lam), tuple(pi)) for pair in pairs for lam, pi in pair}
 
 
 def test_shards_do_not_depend_on_the_hash_seed():
