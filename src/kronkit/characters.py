@@ -31,9 +31,8 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Iterable
 
-from .errors import SizeMismatchError
 from .lr import lr_coeff
-from .partitions import Partition, SkewShape, cycle_types, partitions_of
+from .partitions import Partition, SkewShape, coerce_same_size, cycle_types, partitions_of
 
 __all__ = [
     "cycle_types",
@@ -205,9 +204,7 @@ def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
     the count that reaches the empty shape.  It is a loop over the parts,
     so rho may have any number of them.
     """
-    lam, rho = Partition(lam), Partition(rho)
-    if lam.size != rho.size:
-        raise SizeMismatchError(f"|{lam!r}| = {lam.size} but |{rho!r}| = {rho.size}")
+    lam, rho = coerce_same_size(lam, rho)
     layer = {_beta_set(lam): 1}
     for k in rho:
         below = {}

@@ -19,7 +19,8 @@ from operator import ne
 from typing import Iterable, Iterator
 
 from .errors import SizeMismatchError
-from .partitions import Composition, Partition, SkewShape, _partitions_between, cycle_types
+from .partitions import Composition, Partition, SkewShape, _partitions_between, coerce_same_size
+from .partitions import cycle_types
 
 __all__ = [
     "lr_coeff",
@@ -142,13 +143,8 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
     content to the first in which the contents tuples that end alike share
     the layers of their common suffix.
     """
-    lam, mu = Partition(lam), Partition(mu)
-    pi = Composition(pi)
-    if lam.size != mu.size or lam.size != pi.size:
-        raise SizeMismatchError(
-            f"sizes differ: |{lam!r}|={lam.size}, |{mu!r}|={mu.size}, |{pi!r}|={pi.size}"
-        )
-    sizes = tuple(sorted(pi, reverse=True))
+    sizes = tuple(sorted(Composition(pi), reverse=True))
+    lam, mu, _ = coerce_same_size(lam, mu, sizes)
     a, b = _chains(lam, sizes), _chains(mu, sizes)
     if len(b) < len(a):
         a, b = b, a
@@ -161,10 +157,8 @@ def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
     pi is honored in the given order (the count is invariant under
     permuting it, but that fact is verified by the tests, not assumed).
     """
-    nu = Partition(nu)
     pi = Composition(pi)
-    if nu.size != pi.size:
-        raise SizeMismatchError(f"|{nu!r}| = {nu.size} but |{pi!r}| = {pi.size}")
+    nu, _ = coerce_same_size(nu, sorted(pi, reverse=True))  # sorted for the size check only
     return _fillings(tuple(pi), tuple(nu)).get(tuple(nu), 0)
 
 

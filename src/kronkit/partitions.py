@@ -118,14 +118,19 @@ class Composition(tuple):
         return sum(self)
 
 
+def _positive_ints(*sides) -> bool:
+    """Whether every side is a plain int of at least 1: a bool is refused."""
+    return all(type(x) is int and x > 0 for x in sides)
+
+
 class Rectangle(namedtuple("Rectangle", "width height")):
     """height rows of width boxes each: the partition (width, ..., width)."""
 
     __slots__ = ()
 
     def __new__(cls, width: int, height: int):
-        if width < 1 or height < 1:
-            raise ShapeError(f"rectangle sides must be positive: {width}x{height}")
+        if not _positive_ints(width, height):
+            raise ShapeError(f"rectangle sides must be positive ints: {width!r}x{height!r}")
         return super().__new__(cls, width, height)
 
     @classmethod
@@ -198,14 +203,6 @@ def add_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
     return _widen(lam, rect.width, rect.height)
 
 
-def _widen(lam: Partition, width, height) -> Partition:
-    """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
-    if type(width) is int and type(height) is int and width > 0:
-        # Positive int parts, weakly decreasing, the last one at least width.
-        return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
-    return Partition(lam.part(i) + width for i in range(height))
-
-
 def subtract_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
     """Inverse of add_rectangle; every padded part must cover the width."""
     lam = Partition(lam)
@@ -214,10 +211,21 @@ def subtract_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
         raise ShapeError(f"{lam!r} has more than {height} rows")
     if lam.part(height - 1) < width:
         raise ShapeError(f"{lam!r} has a part below {width} within {height} rows")
-    if type(width) is not int or type(height) is not int or width <= 0:
-        return Partition(lam.part(i) - width for i in range(height))
-    # lam has exactly height rows, each at least width; the rows equal to
-    # width, a suffix, would leave trailing zeros.
+    return _narrow(lam, width)
+
+
+# _widen and _narrow trust their sides, as a Rectangle or RectangleFrame has
+# checked them, so their results skip the Partition checks.
+def _widen(lam: Partition, width: int, height: int) -> Partition:
+    """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
+    return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
+
+
+def _narrow(lam: Partition, width: int) -> Partition:
+    """lam minus width on each row, where every row is at least width.
+
+    The rows equal to width, a suffix, would leave trailing zeros.
+    """
     end = len(lam)
     while end and lam[end - 1] == width:
         end -= 1

@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ShapeError
-from .partitions import Partition, Rectangle, _widen, coerce_same_size, subtract_rectangle
+from .partitions import Partition, _narrow, _positive_ints, _widen, coerce_same_size
 
 __all__ = [
     "RectangleFrame",
@@ -54,8 +54,8 @@ class RectangleFrame(namedtuple("RectangleFrame", "p q r t")):
 
     def __new__(cls, p: int, q: int, r: int, t: int):
         self = super().__new__(cls, p, q, r, t)
-        if min(self) < 1:
-            raise ShapeError(f"frame entries must be positive: {self}")
+        if not _positive_ints(*self):
+            raise ShapeError(f"frame entries must be positive ints: {self}")
         if p != q * r:
             raise ShapeError(f"need p = q*r, got p={p}, q={q}, r={r}")
         return self
@@ -83,12 +83,7 @@ class TraceStep(NamedTuple):
             "after": [list(p) for p in self.after],
         }
         if self.frame is not None:
-            obj["frame"] = {
-                "p": self.frame.p,
-                "q": self.frame.q,
-                "r": self.frame.r,
-                "t": self.frame.t,
-            }
+            obj["frame"] = self.frame._asdict()
         if self.intermediates is not None:
             obj["intermediates"] = dict(self.intermediates)
         if self.value is not None:
@@ -137,7 +132,7 @@ def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
             f"lengths {(lam.length, mu.length, nu.length)} exceed frame {frame}"
         )
     # add_rectangle of (t)^p, (rt)^q, (qt)^r without building the Rectangles:
-    # the frame has checked that their sides are positive.
+    # the frame has checked that their sides are positive ints.
     return _widen(lam, t, p), _widen(mu, r * t, q), _widen(nu, q * t, r)
 
 
@@ -181,11 +176,9 @@ def _rectangle(triple: Triple) -> TraceStep | None:
     frame = RectangleFrame(p, q, r, t)
     if qpart[q - 1] < r * t or rpart[r - 1] < q * t:
         return TraceStep("vanishing", triple, triple, frame, value=0)
-    reduced = (
-        subtract_rectangle(long, Rectangle(t, p)),
-        subtract_rectangle(qpart, Rectangle(r * t, q)),
-        subtract_rectangle(rpart, Rectangle(q * t, r)),
-    )
+    # Each part has exactly its frame length and a last part at least its
+    # width, so peeling (t)^p, (rt)^q, (qt)^r needs no further check.
+    reduced = _narrow(long, t), _narrow(qpart, r * t), _narrow(rpart, q * t)
     return TraceStep("rectangle-reduce", triple, reduced, frame)
 
 

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from .characters import _places
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
-from .lr import lr_pair_count, perm_character_decomp
+from .lr import _decomp, lr_pair_count
 from .partitions import Partition, conjugate, format_partition, intersect
 from .reductions import RectangleFrame, four_two_two_formula, rectangle_reduce
 from .reductions import stability_inflate, two_row_formula
@@ -151,7 +151,8 @@ def _check_lr(unit):
     # The keys are Partitions, as nu and pi are, so the map is read directly.
     values = _expansion(lam, mu).values
     lrp = lr_pair_count(lam, mu, pi)
-    want = sum(k * values.get(nu, 0) for nu, k in perm_character_decomp(pi).items())
+    # Young's rule for pi straight from lr's memo; perm_character_decomp copies it to a dict.
+    want = sum(k * values.get(nu, 0) for nu, k in _decomp(pi))
     yield "lr-pair-identity", lrp != want and (
         f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
     )

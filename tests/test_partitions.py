@@ -257,14 +257,15 @@ class TestDerivedPartitions:
         assert tuple(subtract_rectangle((2, 2), Rectangle(2, 2))) == ()
 
     def test_rectangles_not_of_ints_are_checked(self):
-        # Rectangle checks only that its sides are at least 1.
-        with pytest.raises(PartitionError, match="must be integers, got 3.5"):
-            add_rectangle((2, 1), Rectangle(1.5, 2))
-        with pytest.raises(PartitionError, match="must be integers, got 1.5"):
-            subtract_rectangle((3, 2), Rectangle(1.5, 2))
-        got = add_rectangle((2, 1), Rectangle(True, 3))
-        assert_checked(got)
-        assert got == (3, 2, 1)
+        # Rectangle takes plain positive ints only, so a bad side stops at
+        # construction and no raw TypeError escapes add_rectangle.
+        for sides in [(1.5, 2), (1, 2.0), (True, 3)]:
+            with pytest.raises(ShapeError, match="rectangle sides must be positive ints"):
+                Rectangle(*sides)
+            with pytest.raises(ShapeError):
+                add_rectangle((2, 1), Rectangle(*sides))
+            with pytest.raises(ShapeError):
+                subtract_rectangle((3, 2), Rectangle(*sides))
 
     def test_bad_input_keeps_its_error(self):
         with pytest.raises(PartitionError, match="must be integers, got True"):

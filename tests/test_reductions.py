@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kronkit import (
     Partition,
@@ -146,12 +146,48 @@ class TestStabilityInflateChecks:
             stability_inflate((3,), (1, 1, 1), (3,), frame)
 
     def test_frames_not_of_ints_are_checked(self):
-        # RectangleFrame checks only that its entries are at least 1 and p = q*r.
-        with pytest.raises(PartitionError, match="must be integers, got 2.5"):
-            stability_inflate((1,), (1,), (1,), RectangleFrame(1, 1, 1, 1.5))
-        got = stability_inflate((1,), (1,), (1,), RectangleFrame(1, 1, 1, True))
-        assert got == (P(2), P(2), P(2))
-        assert all(type(a) is int for x in got for a in x)
+        # RectangleFrame takes plain positive ints only, so a bad entry stops
+        # at construction and no raw TypeError escapes stability_inflate.
+        for entries in [(2.0, 1, 2, 1), (1, 1, 1, 1.5), (1, 1, 1, True)]:
+            with pytest.raises(ShapeError, match="frame entries must be positive ints"):
+                RectangleFrame(*entries)
+            with pytest.raises(ShapeError):
+                stability_inflate((1,), (1,), (1,), RectangleFrame(*entries))
+
+
+# Every frame p = q*r <= 16, beyond the verify sweeps' p <= 6 and t <= 2.
+WIDE_FRAMES = [(q * r, q, r) for q in range(1, 17) for r in range(1, 17) if q * r <= 16]
+
+
+@st.composite
+def wide_framed_triples(draw):
+    """A frame with p <= 16 and t <= 4, and a triple of partitions of one
+    m <= 6 that fits it."""
+    p, q, r = draw(st.sampled_from(WIDE_FRAMES))
+    frame = RectangleFrame(p, q, r, draw(st.integers(1, 4)))
+    m = draw(st.integers(0, 6))
+    triple = tuple(draw(st.sampled_from(list(partitions_of(m, rows)))) for rows in (p, q, r))
+    return triple, frame
+
+
+class TestWideFrames:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_framed_triples())
+    @example(((P(2, 1), P(2, 1), P(3)), RectangleFrame(8, 2, 4, 1)))
+    @example(((P(3, 2, 1), P(2, 2, 2), P(4, 1, 1)), RectangleFrame(9, 3, 3, 1)))
+    @example(((P(2, 1), P(1, 1, 1), P(3)), RectangleFrame(9, 3, 3, 4)))
+    def test_reduce_undoes_inflate(self, case):
+        triple, frame = case
+        big = stability_inflate(*triple, frame)
+        step = rectangle_reduce(*big)
+        # The inflated lengths are exactly (p, q, r); t may grow by the base's last row.
+        assert step.frame.p == frame.p
+        assert {step.frame.q, step.frame.r} == {frame.q, frame.r}
+        if step.value is None:
+            assert sorted(stability_inflate(*step.after, step.frame)) == sorted(big)
+        if big[0].size <= 16:
+            want = 0 if step.value == 0 else kron_coeff_direct(*step.after)
+            assert kron_coeff_direct(*big) == kron_coeff_direct(*triple) == want
 
 
 class TestRectangleReduce:
