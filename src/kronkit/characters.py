@@ -218,7 +218,8 @@ def mn_value(lam: Iterable[int], rho: Iterable[int]) -> int:
 def dimension(lam: Iterable[int]) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula.
 
-    Used as an independent cross-check of mn_value at the identity class.
+    This is the same _dim that writes the identity-class entry of every
+    character row, so it checks mn_value at that class but not the rows.
     """
     return _dim(_beta_set(Partition(lam)))
 

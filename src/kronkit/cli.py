@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from . import verify as verify_mod
@@ -136,6 +137,9 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
+# One parser per process: parse_args leaves it as it was, and a run of
+# in-process main() calls would otherwise rebuild it every time.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kronkit",

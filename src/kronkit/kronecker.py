@@ -63,12 +63,23 @@ def kron_coeff_direct(lam, mu, nu) -> int:
 
 def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
     """kron_coeff_direct on partitions coerce_same_size has already checked."""
-    m = sum(lam)
-    a, b, c = character_row(lam), character_row(mu), character_row(nu)
-    total = 0
-    for w, x, y, z in zip(class_weights(m), a, b, c):
-        total += w * x * y * z
-    return _coefficient(total, m, lambda: f"class sum for ({lam!r}, {mu!r}, {nu!r})")
+    total = sum(map(mul, _weighted(lam), map(mul, _row(mu), _row(nu))))
+    return _coefficient(total, sum(lam), lambda: f"class sum for ({lam!r}, {mu!r}, {nu!r})")
+
+
+# The rows the class sum reads, and the rows of its first slot times the
+# class sizes.  Keys are checked Partitions only: a raw tuple hashes equal to
+# the Partition it names, so input is validated before it reaches a memo.
+# Both look character_row up when they miss, so a rebound row function is
+# the one that fills them.
+@lru_cache(maxsize=1024)
+def _row(lam: Partition) -> tuple[int, ...]:
+    return character_row(lam)
+
+
+@lru_cache(maxsize=256)
+def _weighted(lam: Partition) -> tuple[int, ...]:
+    return tuple(map(mul, class_weights(sum(lam)), _row(lam)))
 
 
 def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
@@ -259,13 +270,20 @@ def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     if nu.length != cross.size:
         return None
     rho = Partition(a - 1 for a in nu)
-    left = skew_character(SkewShape(lam, cross))
-    right = skew_character(SkewShape(mu, intersect(conjugate(lam), mu)))
+    left = _skew(lam, cross)
+    right = _skew(mu, intersect(conjugate(lam), mu))
     total = 0
-    for sigma, c1 in left.items():
-        for tau, c2 in right.items():
+    for sigma, c1 in left:
+        for tau, c2 in right:
             total += c1 * c2 * kron_coeff_direct(sigma, tau, rho)
     return TraceStep("dvir", triple, triple, value=total)
+
+
+@lru_cache(maxsize=256)
+def _skew(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The items of skew_character(outer/inner), which dvir_reduce reads once
+    per nu although they depend on lam and mu alone."""
+    return tuple(skew_character(SkewShape(outer, inner)).items())
 
 
 def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:

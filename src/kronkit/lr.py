@@ -19,8 +19,8 @@ from operator import ne
 from typing import Iterable, Iterator
 
 from .errors import SizeMismatchError
-from .partitions import Composition, Partition, SkewShape, _partitions_between, coerce_same_size
-from .partitions import cycle_types
+from .partitions import Composition, Partition, SkewShape, _partitions_between, _size_error
+from .partitions import coerce_same_size, cycle_types
 
 __all__ = [
     "lr_coeff",
@@ -144,7 +144,9 @@ def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> i
     the layers of their common suffix.
     """
     sizes = tuple(sorted(Composition(pi), reverse=True))
-    lam, mu, _ = coerce_same_size(lam, mu, sizes)
+    lam, mu = coerce_same_size(lam, mu)
+    if sum(sizes) != sum(lam):
+        raise _size_error((lam, mu, sizes))
     a, b = _chains(lam, sizes), _chains(mu, sizes)
     if len(b) < len(a):
         a, b = b, a
@@ -158,7 +160,9 @@ def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
     permuting it, but that fact is verified by the tests, not assumed).
     """
     pi = Composition(pi)
-    nu, _ = coerce_same_size(nu, sorted(pi, reverse=True))  # sorted for the size check only
+    nu = Partition(nu)
+    if sum(nu) != sum(pi):
+        raise _size_error((nu, sorted(pi, reverse=True)))
     return _fillings(tuple(pi), tuple(nu)).get(tuple(nu), 0)
 
 

@@ -167,9 +167,15 @@ def coerce_same_size(*parts: Iterable[int]) -> tuple[Partition, ...]:
     """
     out = tuple(map(Partition, parts))
     if len(set(map(sum, out))) > 1:
-        sizes = [sum(p) for p in out]
-        raise SizeMismatchError(f"sizes differ: {sizes} for {[tuple(p) for p in out]}")
+        raise _size_error(out)
     return out
+
+
+def _size_error(parts) -> SizeMismatchError:
+    """The error coerce_same_size raises for parts of differing sizes."""
+    return SizeMismatchError(
+        f"sizes differ: {[sum(p) for p in parts]} for {[tuple(p) for p in parts]}"
+    )
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

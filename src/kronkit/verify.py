@@ -16,9 +16,11 @@ The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
 in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
 multiset.  So the oracle's values are memoised on the sorted triple, which
 is exact because the class sum multiplies the same integers in any order.
-The lr units of one (lam, mu) come in a row, so its expansion is kept in a
-one-entry memo.  Both memos are emptied when a suite's sweep starts and
-ends on a shard, so no value outlives one sweep.
+An inflated shape lam + (t)^p depends on lam, t and p alone, so the
+stability sweep keeps each one in a memo too.  The lr units of one
+(lam, mu) come in a row, so its expansion is kept in a one-entry memo.
+All three memos are emptied when a suite's sweep starts and ends on a
+shard, so no value outlives one sweep.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .characters import _places
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import _decomp, lr_pair_count
-from .partitions import Partition, conjugate, format_partition, intersect
-from .reductions import RectangleFrame, four_two_two_formula, rectangle_reduce
-from .reductions import stability_inflate, two_row_formula
+from .partitions import Partition, _widen, conjugate, format_partition, intersect
+from .reductions import RectangleFrame, four_two_two_formula, rectangle_reduce, two_row_formula
 
 __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
 
@@ -83,13 +84,20 @@ def _oracle(name: str, triple, got: int, label: str = "gave"):
     return name, got != direct and f"{_fmt(*triple)} {label} {got}, direct {direct}"
 
 
+# lam + (width)^height depends on neither partner, so each is built once per sweep.
+_inflated = lru_cache(maxsize=2048)(_widen)
+
+
 def _check_stability(triple):
+    lam, mu, nu = triple
     a, b, c = map(len, triple)
     fits = [f for p, q, r, frames in _FRAMES if a <= p and b <= q and c <= r for f in frames]
     base = _direct(triple) if fits else None
     for frame in fits:
-        got = _direct(stability_inflate(*triple, frame))
+        # stability_inflate without its checks: _FRAMES holds checked frames,
+        # and the lengths fit them.
         p, q, r, t = frame
+        got = _direct((_inflated(lam, t, p), _inflated(mu, r * t, q), _inflated(nu, q * t, r)))
         yield "stability", got != base and (
             f"{_fmt(*triple)} frame (p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
         )
@@ -169,6 +177,7 @@ def _check_dispatch(triple):
 def _clear_memos() -> None:
     _direct_memo.cache_clear()
     _expansion.cache_clear()
+    _inflated.cache_clear()
 
 
 def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):

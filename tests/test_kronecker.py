@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from collections import Counter
 from functools import lru_cache
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from kronkit import (
     ExactnessError,
     Partition,
+    PartitionError,
     SizeMismatchError,
     canonical_triple,
+    character_row,
+    class_weights,
     conjugate,
     dimension,
     intersect,
@@ -20,7 +24,7 @@ from kronkit import (
     kron_expand,
     stability_inflate,
 )
-from kronkit.kronecker import _pack
+from kronkit.kronecker import _pack, _row, _weighted
 from kronkit.partitions import partitions_of
 
 
@@ -89,14 +93,73 @@ class TestDirect:
                         )
 
 
+def _four_way(lam, mu, nu):
+    """The class sum as the plain loop over w * x * y * z, divided by m!."""
+    m = sum(lam)
+    rows = character_row(lam), character_row(mu), character_row(nu)
+    total = 0
+    for w, x, y, z in zip(class_weights(m), *rows):
+        total += w * x * y * z
+    value, rem = divmod(total, math.factorial(m))
+    assert not rem and value >= 0
+    return value
+
+
+class TestKernel:
+    # kron_coeff_direct reads its rows through two capped memos, _row and
+    # _weighted; cold or past their caps, it must give the plain class sum.
+    @settings(max_examples=40, deadline=None)
+    @given(triples_st(min_m=1, max_m=14))
+    def test_cold_memos_give_the_plain_class_sum(self, triple):
+        _row.cache_clear()
+        _weighted.cache_clear()
+        assert kron_coeff_direct(*triple) == _four_way(*triple)
+
+    @settings(max_examples=40, deadline=None)
+    @given(triples_st(min_m=1, max_m=14))
+    def test_full_memos_give_the_plain_class_sum(self, triple):
+        if _row.cache_info().currsize < _row.cache_info().maxsize:
+            # More partitions than either cap holds, each the first slot once.
+            parts = [lam for m in range(18) for lam in partitions_of(m)]
+            assert len(parts) > max(_row.cache_info().maxsize, _weighted.cache_info().maxsize)
+            for lam in parts:
+                kron_coeff_direct(lam, lam, (sum(lam),))
+        assert kron_coeff_direct(*triple) == _four_way(*triple)
+
+    @pytest.mark.parametrize(
+        "bad, good",
+        [(((3, 2.0), (4, 1), (5,)), (3, 2)), (((3, True, 1), (4, 1), (5,)), (3, 1, 1))],
+    )
+    def test_raw_tuples_are_checked_before_any_memo(self, bad, good):
+        # (3, 2.0) and (3, True, 1) hash and compare equal to the memo keys
+        # (3, 2) and (3, 1, 1), so only a check before the memos refuses them.
+        kron_coeff_direct(good, good, (5,))
+        kron_coeff(good, good, (5,))
+        hits = _weighted.cache_info().hits
+        _weighted(Partition(good))
+        assert _weighted.cache_info().hits == hits + 1
+        for entry in (kron_coeff_direct, kron_coeff):
+            with pytest.raises(PartitionError):
+                entry(*bad)
+
+
+def _fresh_memos(monkeypatch):
+    """Empty copies of the memos that hold rows, so a patched character_row
+    reaches both class sums."""
+    for memo in (_pack, _row, _weighted):
+        fresh = lru_cache(maxsize=None)(memo.__wrapped__)
+        monkeypatch.setattr(f"kronkit.kronecker.{memo.__name__}", fresh)
+
+
 class TestExactnessGuard:
     # Rows no genuine characters have, patched in where the oracle reads them.
     # Over S_2 a row (1, 0) leaves the class sum 1/2!, and (-2, 0) gives -8/2!.
     @pytest.mark.parametrize("row", [(1, 0), (-2, 0)])
     def test_bad_class_sums_raise(self, monkeypatch, row):
         monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
-        # kron_expand must pack the patched rows, not an S_2 table packed earlier.
-        monkeypatch.setattr("kronkit.kronecker._pack", lru_cache(maxsize=None)(_pack.__wrapped__))
+        # kron_expand must pack the patched rows, not an S_2 table packed
+        # earlier, and the class sum must read them, not rows memoised earlier.
+        _fresh_memos(monkeypatch)
         triple = (Partition((2,)), Partition((1, 1)), Partition((2,)))
         with pytest.raises(ExactnessError, match=re.escape(f"class sum for {triple!r} gave")):
             kron_coeff_direct(*triple)
@@ -114,7 +177,7 @@ class TestExactnessGuard:
     )
     def test_huge_rows_raise_on_their_own_total(self, monkeypatch, row):
         monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
-        monkeypatch.setattr("kronkit.kronecker._pack", lru_cache(maxsize=None)(_pack.__wrapped__))
+        _fresh_memos(monkeypatch)
         total = 2 * row[0] ** 3 + 3 * row[1] ** 3 + row[2] ** 3
         assert total % 6 or total < 0
         pair = (Partition((2, 1)), Partition((1, 1, 1)))

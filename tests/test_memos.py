@@ -19,8 +19,13 @@ MEMOS = [
     lr._decomp,
     kronecker._pack,
     kronecker._conjugate,
+    kronecker._row,
+    kronecker._weighted,
+    kronecker._skew,
     verify._direct_memo,
     verify._expansion,
+    verify._inflated,
+    kronkit.cli.build_parser,
 ]
 
 
