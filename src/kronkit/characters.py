@@ -31,6 +31,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Iterable
 
+from .errors import ShapeError
 from .lr import lr_coeff
 from .partitions import Partition, SkewShape, coerce_same_size, cycle_types, partitions_of
 
@@ -231,11 +232,13 @@ def cycle_sign(rho: Iterable[int]) -> int:
 
 
 def skew_character(shape: SkewShape) -> dict[Partition, int]:
-    """Expansion of the skew character of shape into irreducibles.
+    """Expansion of the skew character of shape, a SkewShape, into irreducibles.
 
     Keys are partitions of |shape| with nonzero multiplicity; the empty
     shape yields the unit of degree zero.
     """
+    if not isinstance(shape, SkewShape):
+        raise ShapeError(f"shape must be a SkewShape, got {shape!r}")
     out = {}
     for tau in partitions_of(shape.size):
         c = lr_coeff(shape, tau)

@@ -18,7 +18,7 @@ from itertools import compress, count
 from operator import ne
 from typing import Iterable, Iterator
 
-from .errors import SizeMismatchError
+from .errors import ShapeError, SizeMismatchError
 from .partitions import Composition, Partition, SkewShape, _partitions_between, _size_error
 from .partitions import coerce_same_size, cycle_types
 
@@ -33,9 +33,11 @@ __all__ = [
 def lr_coeff(shape: SkewShape, content: Iterable[int]) -> int:
     """Number of Littlewood-Richardson tableaux of the given shape and content.
 
-    For shape lam/delta this is the coefficient of chi^content in the skew
-    character, i.e. c^lam_{delta,content}.
+    For shape lam/delta, a SkewShape, this is the coefficient of chi^content
+    in the skew character, i.e. c^lam_{delta,content}.
     """
+    if not isinstance(shape, SkewShape):
+        raise ShapeError(f"shape must be a SkewShape, got {shape!r}")
     content = Partition(content)
     if shape.size != content.size:
         raise SizeMismatchError(

@@ -23,11 +23,8 @@ __all__ = [
     "Partition",
     "Composition",
     "SkewShape",
-    "Rectangle",
     "conjugate",
     "intersect",
-    "add_rectangle",
-    "subtract_rectangle",
     "partitions_of",
     "parse_partition",
     "format_partition",
@@ -118,27 +115,6 @@ class Composition(tuple):
         return sum(self)
 
 
-def _positive_ints(*sides) -> bool:
-    """Whether every side is a plain int of at least 1: a bool is refused."""
-    return all(type(x) is int and x > 0 for x in sides)
-
-
-class Rectangle(namedtuple("Rectangle", "width height")):
-    """height rows of width boxes each: the partition (width, ..., width)."""
-
-    __slots__ = ()
-
-    def __new__(cls, width: int, height: int):
-        if not _positive_ints(width, height):
-            raise ShapeError(f"rectangle sides must be positive ints: {width!r}x{height!r}")
-        return super().__new__(cls, width, height)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and so _replace, would skip the checks in __new__.
-        return cls(*iterable)
-
-
 class SkewShape(namedtuple("SkewShape", "outer inner")):
     """Cells of outer not in inner, for inner contained in outer."""
 
@@ -198,46 +174,6 @@ def intersect(lam: Iterable[int], mu: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, map(min, lam, mu))
 
 
-def add_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
-    """lam plus rect.width on each of the first rect.height rows.
-
-    lam must fit in rect.height rows; the result has exactly that many rows.
-    """
-    lam = Partition(lam)
-    if lam.length > rect.height:
-        raise ShapeError(f"{lam!r} has more than {rect.height} rows")
-    return _widen(lam, rect.width, rect.height)
-
-
-def subtract_rectangle(lam: Iterable[int], rect: Rectangle) -> Partition:
-    """Inverse of add_rectangle; every padded part must cover the width."""
-    lam = Partition(lam)
-    width, height = rect.width, rect.height
-    if lam.length > height:
-        raise ShapeError(f"{lam!r} has more than {height} rows")
-    if lam.part(height - 1) < width:
-        raise ShapeError(f"{lam!r} has a part below {width} within {height} rows")
-    return _narrow(lam, width)
-
-
-# _widen and _narrow trust their sides, as a Rectangle or RectangleFrame has
-# checked them, so their results skip the Partition checks.
-def _widen(lam: Partition, width: int, height: int) -> Partition:
-    """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
-    return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
-
-
-def _narrow(lam: Partition, width: int) -> Partition:
-    """lam minus width on each row, where every row is at least width.
-
-    The rows equal to width, a suffix, would leave trailing zeros.
-    """
-    end = len(lam)
-    while end and lam[end - 1] == width:
-        end -= 1
-    return tuple.__new__(Partition, [a - width for a in lam[:end]])
-
-
 def partitions_of(
     m: int,
     max_length: int | None = None,
@@ -246,8 +182,12 @@ def partitions_of(
     """All partitions of m within the bounds, in reverse lexicographic order.
 
     Each partition appears exactly once; the order is deterministic so that
-    downstream reports are reproducible byte for byte.
+    downstream reports are reproducible byte for byte.  m must be a plain
+    int >= 0 and each bound a plain int or None, else PartitionError.
     """
+    bounds = max_length, max_part
+    if type(m) is not int or any(b is not None and type(b) is not int for b in bounds):
+        raise PartitionError(f"need an int m and int or None bounds, got {m!r}, {bounds!r}")
     if m < 0:
         raise PartitionError(f"cannot partition the negative integer {m}")
     rows = m if max_length is None else max(0, min(max_length, m))

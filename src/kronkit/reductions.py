@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ShapeError
-from .partitions import Partition, _narrow, _positive_ints, _widen, coerce_same_size
+from .partitions import Partition, coerce_same_size
 
 __all__ = [
     "RectangleFrame",
@@ -54,7 +54,8 @@ class RectangleFrame(namedtuple("RectangleFrame", "p q r t")):
 
     def __new__(cls, p: int, q: int, r: int, t: int):
         self = super().__new__(cls, p, q, r, t)
-        if not _positive_ints(*self):
+        # Plain ints only: a bool or a float is refused.
+        if not all(type(x) is int and x > 0 for x in self):
             raise ShapeError(f"frame entries must be positive ints: {self}")
         if p != q * r:
             raise ShapeError(f"need p = q*r, got p={p}, q={q}, r={r}")
@@ -64,6 +65,24 @@ class RectangleFrame(namedtuple("RectangleFrame", "p q r t")):
     def _make(cls, iterable):
         # namedtuple's _make, and so _replace, would skip the checks in __new__.
         return cls(*iterable)
+
+
+# _widen and _narrow trust their sides, as a RectangleFrame has checked them,
+# so their results skip the Partition checks.
+def _widen(lam: Partition, width: int, height: int) -> Partition:
+    """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
+    return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
+
+
+def _narrow(lam: Partition, width: int) -> Partition:
+    """lam minus width on each row, where every row is at least width.
+
+    The rows equal to width, a suffix, would leave trailing zeros.
+    """
+    end = len(lam)
+    while end and lam[end - 1] == width:
+        end -= 1
+    return tuple.__new__(Partition, [a - width for a in lam[:end]])
 
 
 class TraceStep(NamedTuple):
@@ -123,16 +142,18 @@ def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     """Add the frame rectangles (t)^p, (rt)^q, (qt)^r to lam, mu, nu.
 
     The Kronecker coefficient of the result equals that of the input; the
-    verification sweeps confirm this against the direct oracle.
+    verification sweeps confirm this against the direct oracle.  It stays
+    public as the paper's inflation, checked, and as the tests' inverse of
+    rectangle_reduce.  A frame that is not a RectangleFrame is refused.
     """
+    if not isinstance(frame, RectangleFrame):
+        raise ShapeError(f"frame must be a RectangleFrame, got {frame!r}")
     lam, mu, nu = coerce_same_size(lam, mu, nu)
     p, q, r, t = frame
     if lam.length > p or mu.length > q or nu.length > r:
         raise ShapeError(
             f"lengths {(lam.length, mu.length, nu.length)} exceed frame {frame}"
         )
-    # add_rectangle of (t)^p, (rt)^q, (qt)^r without building the Rectangles:
-    # the frame has checked that their sides are positive ints.
     return _widen(lam, t, p), _widen(mu, r * t, q), _widen(nu, q * t, r)
 
 

@@ -35,8 +35,9 @@ from .characters import _places
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import _decomp, lr_pair_count
-from .partitions import Partition, _widen, conjugate, format_partition, intersect
-from .reductions import RectangleFrame, four_two_two_formula, rectangle_reduce, two_row_formula
+from .partitions import Partition, conjugate, format_partition, intersect
+from .reductions import RectangleFrame, _widen, four_two_two_formula, rectangle_reduce
+from .reductions import two_row_formula
 
 __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kronkit import (
     Partition,
+    ShapeError,
     SizeMismatchError,
     SkewShape,
     character_row,
@@ -285,6 +286,12 @@ class TestSkewCharacter:
 
     def test_corner_box_shape(self):
         assert skew_character(SkewShape((2, 2), (1,))) == {Partition((2, 1)): 1}
+
+    def test_shape_must_be_a_skew_shape(self):
+        # The empty pair too: its size would be read before any lr_coeff call.
+        for shape in [((2, 2), (1,)), ((), ()), None]:
+            with pytest.raises(ShapeError, match="shape must be a SkewShape, got"):
+                skew_character(shape)
 
     def test_against_brute_force(self):
         cases = [((2, 2), (1,)), ((3, 1), (1,)), ((3, 2), (2,)), ((2, 2, 1), (1, 1))]

@@ -14,14 +14,12 @@ SURFACE = [
     "KronkitError",
     "Partition",
     "PartitionError",
-    "Rectangle",
     "RectangleFrame",
     "ReductionTrace",
     "ShapeError",
     "SizeMismatchError",
     "SkewShape",
     "TraceStep",
-    "add_rectangle",
     "canonical_triple",
     "ceil_half",
     "character_row",
@@ -48,7 +46,6 @@ SURFACE = [
     "rectangle_reduce",
     "skew_character",
     "stability_inflate",
-    "subtract_rectangle",
     "two_row_formula",
 ]
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kronkit import (
     Partition,
+    ShapeError,
     SizeMismatchError,
     SkewShape,
     character_row,
@@ -40,6 +41,12 @@ class TestLrCoeff:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             lr_coeff(SkewShape((2, 2), (1,)), (2, 2))
+
+    def test_shape_must_be_a_skew_shape(self):
+        # A plain pair is refused, not read: its containment was never checked.
+        for shape in [((2, 2), (1,)), ((1,), (2,)), "2,2/1", None]:
+            with pytest.raises(ShapeError, match="shape must be a SkewShape, got"):
+                lr_coeff(shape, (2, 1))
 
     def test_straight_shape_rule(self):
         # on a straight shape the count is 1 when content equals the shape, else 0

@@ -1,3 +1,5 @@
+import re
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -5,10 +7,10 @@ from kronkit import (
     Composition,
     Partition,
     PartitionError,
-    Rectangle,
+    RectangleFrame,
     ShapeError,
+    SizeMismatchError,
     SkewShape,
-    add_rectangle,
     conjugate,
     cycle_types,
     format_partition,
@@ -16,11 +18,13 @@ from kronkit import (
     kron_coeff,
     parse_partition,
     partitions_of,
-    subtract_rectangle,
+    rectangle_reduce,
+    stability_inflate,
 )
 from kronkit.characters import _counts
 from kronkit.lr import _hstrips
 from kronkit.partitions import _partitions_between
+from kronkit.reductions import _narrow, _widen
 from oracles import (
     all_partitions,
     brute_hstrip_shapes,
@@ -34,6 +38,10 @@ from oracles import (
 def partitions_st(draw, max_part=9, max_rows=6):
     parts = draw(st.lists(st.integers(1, max_part), max_size=max_rows))
     return Partition(sorted(parts, reverse=True))
+
+
+def P(*parts):
+    return Partition(parts)
 
 
 def all_partitions_up_to(limit):
@@ -177,37 +185,50 @@ class TestIntersect:
 
 
 class TestRectangles:
+    """A frame's rectangles, one partition at a time: the pair _widen/_narrow
+    behind stability_inflate and rectangle_reduce, and the checks in front."""
+
     def test_add_examples(self):
-        assert add_rectangle((2, 1), Rectangle(1, 4)) == Partition((3, 2, 1, 1))
-        assert add_rectangle((), Rectangle(2, 2)) == Partition((2, 2))
-        assert add_rectangle((1, 1), Rectangle(3, 2)) == Partition((4, 4))
+        assert _widen(P(2, 1), 1, 4) == Partition((3, 2, 1, 1))
+        assert _widen(P(), 2, 2) == Partition((2, 2))
+        assert _widen(P(1, 1), 3, 2) == Partition((4, 4))
 
     def test_add_rejects_long(self):
-        with pytest.raises(ShapeError):
-            add_rectangle((1, 1, 1), Rectangle(1, 2))
+        # Each of the three partitions must fit its frame's row count.
+        frame = RectangleFrame(2, 1, 2, 1)
+        for triple, lengths in [
+            (((1, 1, 1), (3,), (3,)), (3, 1, 1)),
+            (((3,), (2, 1), (3,)), (1, 2, 1)),
+            (((3,), (3,), (1, 1, 1)), (1, 1, 3)),
+        ]:
+            with pytest.raises(ShapeError, match=re.escape(f"lengths {lengths} exceed frame")):
+                stability_inflate(*triple, frame)
 
     def test_subtract_examples(self):
-        assert subtract_rectangle((3, 2, 1, 1), Rectangle(1, 4)) == Partition((2, 1))
-        assert subtract_rectangle((2, 2), Rectangle(2, 2)) == Partition(())
-        assert subtract_rectangle((4, 3), Rectangle(2, 2)) == Partition((2, 1))
+        assert _narrow(P(3, 2, 1, 1), 1) == Partition((2, 1))
+        assert _narrow(P(2, 2), 2) == Partition(())
+        assert _narrow(P(4, 3), 2) == Partition((2, 1))
 
     def test_subtract_rejects(self):
-        with pytest.raises(ShapeError):
-            subtract_rectangle((3, 1), Rectangle(2, 2))
-        with pytest.raises(ShapeError):
-            subtract_rectangle((2, 2, 1), Rectangle(1, 2))
+        # A part below its rectangle's width proves the triple zero and is not
+        # peeled; lengths with no p = q*r admit no frame at all.
+        step = rectangle_reduce((1, 1, 1, 1), (3, 1), (2, 2))
+        assert (step.theorem, step.value) == ("vanishing", 0)
+        assert step.after == step.before
+        assert rectangle_reduce((2, 2, 1), (3, 2), (4, 1)) is None
 
     def test_rectangle_validation(self):
-        with pytest.raises(ShapeError):
-            Rectangle(0, 3)
-        with pytest.raises(ShapeError):
-            Rectangle(2, 0)
+        for i in range(4):
+            for bad in (0, -1):
+                entries = [1, 1, 1, 1]
+                entries[i] = bad
+                with pytest.raises(ShapeError, match="frame entries must be positive ints"):
+                    RectangleFrame(*entries)
 
     @given(partitions_st(max_rows=4), st.integers(1, 5), st.integers(0, 3))
     def test_subtract_inverts_add(self, lam, width, extra):
-        rect = Rectangle(width, lam.length + extra if lam.length + extra else 1)
-        inflated = add_rectangle(lam, rect)
-        assert subtract_rectangle(inflated, rect) == lam
+        height = max(1, lam.length + extra)
+        assert _narrow(_widen(lam, width, height), width) == lam
 
 
 def assert_checked(x):
@@ -215,6 +236,24 @@ def assert_checked(x):
     assert type(x) is Partition
     assert x == Partition(tuple(x))
     assert 0 not in x and all(type(a) is int for a in x)
+
+
+@st.composite
+def inflated_triples(draw):
+    """A triple of partitions of one m <= 6, and a frame with p <= 6 it fits."""
+    m = draw(st.integers(0, 6))
+    q, r = draw(st.sampled_from([(q, r) for q in range(1, 7) for r in range(1, 7) if q * r <= 6]))
+    frame = RectangleFrame(q * r, q, r, draw(st.integers(1, 3)))
+    triple = tuple(draw(st.sampled_from(list(partitions_of(m, rows)))) for rows in frame[:3])
+    return triple, frame
+
+
+def peeled(step):
+    """step.before minus its frame's rectangles, row by row, sorted: each
+    partition loses the width that goes with its length."""
+    p, q, r, t = step.frame
+    width = {p: t, q: r * t, r: q * t}  # lengths that coincide share a width
+    return sorted(Partition(a - width[len(lam)] for a in lam) for lam in step.before)
 
 
 class TestDerivedPartitions:
@@ -227,53 +266,67 @@ class TestDerivedPartitions:
         assert_checked(intersect(lam, mu))
         assert intersect(lam, mu) == Partition(min(a, b) for a, b in zip(lam, mu))
 
-    @given(partitions_st(max_rows=4), st.integers(1, 5), st.integers(0, 3))
-    def test_add_and_subtract(self, lam, width, extra):
-        height = max(1, lam.length + extra)
-        rect = Rectangle(width, height)
-        inflated = add_rectangle(lam, rect)
-        assert_checked(inflated)
-        assert inflated == Partition(lam.part(i) + width for i in range(height))
-        # lam has fewer rows than the rectangle whenever extra > 0, so the
-        # difference ends in zeros before they are stripped.
-        back = subtract_rectangle(inflated, rect)
-        assert_checked(back)
-        assert back == lam
+    @given(inflated_triples())
+    def test_add_and_subtract(self, case):
+        triple, frame = case
+        p, q, r, t = frame
+        big = stability_inflate(*triple, frame)
+        for lam, rows, width, x in zip(triple, (p, q, r), (t, r * t, q * t), big):
+            assert_checked(x)
+            assert x == Partition(lam.part(i) + width for i in range(rows))
+        # A base shorter than its rows leaves zeros in the peel before they
+        # are stripped.
+        step = rectangle_reduce(*big)
+        for x in step.after:
+            assert_checked(x)
+        if step.value is None:
+            assert sorted(step.after) == peeled(step)
 
-    @given(partitions_st(max_rows=5), st.integers(1, 4), st.integers(1, 5))
-    def test_subtract_any_rectangle_it_covers(self, lam, width, height):
-        if lam.length > height or lam.part(height - 1) < width:
-            with pytest.raises(ShapeError):
-                subtract_rectangle(lam, Rectangle(width, height))
-        else:
-            got = subtract_rectangle(lam, Rectangle(width, height))
-            assert_checked(got)
-            assert got == Partition(lam.part(i) - width for i in range(height))
+    def test_subtract_any_rectangle_it_covers(self):
+        # Every peel of every triple of m <= 6, not only of inflated ones.
+        peels = 0
+        for m in range(7):
+            parts = list(partitions_of(m))
+            for triple in ((a, b, c) for a in parts for b in parts for c in parts):
+                step = rectangle_reduce(*triple)
+                if step is None or step.value is not None:
+                    continue
+                peels += 1
+                for x in step.after:
+                    assert_checked(x)
+                assert sorted(step.after) == peeled(step)
+                assert sorted(stability_inflate(*step.after, step.frame)) == sorted(triple)
+        assert peels
 
     def test_subtract_strips_zeros(self):
-        got = subtract_rectangle((3, 2, 2), Rectangle(2, 3))
-        assert_checked(got)
-        assert tuple(got) == (1,)
-        assert tuple(subtract_rectangle((2, 2), Rectangle(2, 2))) == ()
+        step = rectangle_reduce((2, 1), (3,), (2, 1))
+        assert step.frame == RectangleFrame(2, 1, 2, 1)
+        assert step.after == (P(1), P(1), P(1))
+        for x in step.after:
+            assert_checked(x)
+        step = rectangle_reduce((1, 1, 1, 1), (2, 2), (2, 2))
+        assert step.after == ((), (), ())
+        assert all(type(x) is Partition for x in step.after)
 
     def test_rectangles_not_of_ints_are_checked(self):
-        # Rectangle takes plain positive ints only, so a bad side stops at
-        # construction and no raw TypeError escapes add_rectangle.
-        for sides in [(1.5, 2), (1, 2.0), (True, 3)]:
-            with pytest.raises(ShapeError, match="rectangle sides must be positive ints"):
-                Rectangle(*sides)
-            with pytest.raises(ShapeError):
-                add_rectangle((2, 1), Rectangle(*sides))
-            with pytest.raises(ShapeError):
-                subtract_rectangle((3, 2), Rectangle(*sides))
+        # RectangleFrame takes plain positive ints only, in every position,
+        # and stability_inflate takes nothing else, so no raw TypeError escapes.
+        for i in range(4):
+            for bad in (1.0, True, "1"):
+                entries = [1, 1, 1, 1]
+                entries[i] = bad
+                with pytest.raises(ShapeError, match="frame entries must be positive ints"):
+                    RectangleFrame(*entries)
+                with pytest.raises(ShapeError, match="frame must be a RectangleFrame"):
+                    stability_inflate((1,), (1,), (1,), tuple(entries))
 
     def test_bad_input_keeps_its_error(self):
         with pytest.raises(PartitionError, match="must be integers, got True"):
-            add_rectangle((2, True), Rectangle(1, 2))
+            rectangle_reduce((2, True), (3,), (2, 1))
         with pytest.raises(PartitionError, match="not weakly decreasing"):
-            add_rectangle((1, 2), Rectangle(1, 2))
-        with pytest.raises(ShapeError, match=r"Partition\(\(1, 1, 1\)\) has more than 2 rows"):
-            add_rectangle((1, 1, 1), Rectangle(1, 2))
+            rectangle_reduce((1, 2), (3,), (2, 1))
+        with pytest.raises(SizeMismatchError, match=r"sizes differ: \[3, 3, 4\]"):
+            rectangle_reduce((2, 1), (3,), (2, 2))
 
 
 class TestSkew:
@@ -350,6 +403,20 @@ class TestPartitionsOf:
                     assert Partition(tuple(p) + (0,)) == p
         with pytest.raises(PartitionError):
             list(partitions_of(-1))
+
+    @pytest.mark.parametrize(
+        "args",
+        [(True,), (2.5,), (2.0,), ("3",), (None,), (3, 2.0), (3, None, True), (3, True, 1)],
+    )
+    def test_refuses_arguments_not_plain_ints(self, args):
+        with pytest.raises(PartitionError, match="need an int m and int or None bounds"):
+            list(partitions_of(*args))
+        if len(args) == 1:
+            # The entries cached for 2 and 1 do not answer for 2.0 or True.
+            cycle_types(2)
+            cycle_types(1)
+            with pytest.raises(PartitionError, match="need an int m and int or None bounds"):
+                cycle_types(*args)
 
 
 class TestCycleTypes:

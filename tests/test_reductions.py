@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kronkit import (
     Partition,
     PartitionError,
-    Rectangle,
     RectangleFrame,
     ShapeError,
     SizeMismatchError,
@@ -50,7 +49,8 @@ class TestRectangleFrame:
     "record, text, bad",
     [
         (RectangleFrame(4, 2, 2, 1), "RectangleFrame(p=4, q=2, r=2, t=1)", {"t": 0}),
-        (Rectangle(3, 2), "Rectangle(width=3, height=2)", {"width": 0}),
+        # A changed frame is checked for p = q*r too, not only for positive entries.
+        (RectangleFrame(1, 1, 1, 5), "RectangleFrame(p=1, q=1, r=1, t=5)", {"p": 2}),
         # The repr shows that both fields became Partitions, trailing zero dropped.
         (
             SkewShape([3, 1, 0], (2,)),
@@ -153,6 +153,17 @@ class TestStabilityInflateChecks:
                 RectangleFrame(*entries)
             with pytest.raises(ShapeError):
                 stability_inflate((1,), (1,), (1,), RectangleFrame(*entries))
+
+    # A plain tuple is refused even when it equals a valid RectangleFrame:
+    # unchecked, a fraction, a negative width or p != q*r would slip through.
+    @pytest.mark.parametrize(
+        "frame",
+        [(1, 1, 1, 0.5), (1, 1, 1, -3), (2, 1, 1, 1), (1, 1, 1, 1), [1, 1, 1, 1]],
+        ids=["fractional-t", "negative-t", "p-not-qr", "valid-entries", "list"],
+    )
+    def test_frame_must_be_a_rectangle_frame(self, frame):
+        with pytest.raises(ShapeError, match="frame must be a RectangleFrame, got"):
+            stability_inflate((1,), (1,), (1,), frame)
 
 
 # Every frame p = q*r <= 16, beyond the verify sweeps' p <= 6 and t <= 2.
