@@ -84,8 +84,9 @@ def _centralizer(rho: Partition) -> int:
 @lru_cache(maxsize=None)
 def class_weights(n: int) -> tuple[int, ...]:
     """The class sizes n!/z_rho over cycle_types(n), in that order."""
+    types = cycle_types(n)  # checks n before factorial meets it
     order = math.factorial(n)
-    return tuple([order // _centralizer(rho) for rho in cycle_types(n)])
+    return tuple([order // _centralizer(rho) for rho in types])
 
 
 @lru_cache(maxsize=None)

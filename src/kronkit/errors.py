@@ -8,7 +8,7 @@ class KronkitError(Exception):
 
 
 class PartitionError(KronkitError, ValueError):
-    """Invalid partition or composition data, or unparseable partition text."""
+    """Invalid partition, composition or size data, bad partition text, or an unknown suite."""
 
 
 class SizeMismatchError(KronkitError, ValueError):

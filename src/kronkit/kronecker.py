@@ -39,8 +39,8 @@ from typing import Callable, Mapping, NamedTuple
 from .characters import _places, character_row, class_weights, cycle_sign, cycle_types
 from .characters import skew_character
 from .errors import ExactnessError
-from .partitions import Partition, SkewShape, coerce_same_size, conjugate, intersect
-from .reductions import ReductionTrace, TraceStep, _rectangle, two_row_formula
+from .partitions import Partition, SkewShape, _size_error, coerce_same_size, conjugate, intersect
+from .reductions import ReductionTrace, TraceStep, _narrow, _rectangle, two_row_formula
 
 __all__ = [
     "KroneckerExpansion",
@@ -94,7 +94,8 @@ def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
 class KroneckerExpansion:
     """Nonzero multiplicities in chi^lam (x) chi^mu, keyed by partition.
 
-    Zero entries are omitted; keys iterate in reverse lex order.
+    Zero entries are omitted and read as 0; keys iterate in reverse lex
+    order.  Indexing by a nu whose size is not the degree is an error.
     """
 
     __slots__ = ("degree", "values")
@@ -107,7 +108,10 @@ class KroneckerExpansion:
         return f"KroneckerExpansion(degree={self.degree!r}, values={self.values!r})"
 
     def __getitem__(self, nu) -> int:
-        return self.values.get(Partition(nu), 0)
+        nu = Partition(nu)
+        if sum(nu) != self.degree:
+            raise _size_error(((self.degree,), nu))
+        return self.values.get(nu, 0)
 
     def items(self):
         return self.values.items()
@@ -269,13 +273,14 @@ def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     cross = intersect(lam, conjugate(mu))
     if nu.length != cross.size:
         return None
-    rho = Partition(a - 1 for a in nu)
+    rho = _narrow(nu, 1)
     left = _skew(lam, cross)
     right = _skew(mu, intersect(conjugate(lam), mu))
+    # l(nu) = |lam ∩ mu'| = |lam' ∩ mu|, so sigma, tau and rho all have m - l(nu) cells.
     total = 0
     for sigma, c1 in left:
         for tau, c2 in right:
-            total += c1 * c2 * kron_coeff_direct(sigma, tau, rho)
+            total += c1 * c2 * _direct(sigma, tau, rho)
     return TraceStep("dvir", triple, triple, value=total)
 
 

@@ -18,8 +18,8 @@ from itertools import compress, count
 from operator import ne
 from typing import Iterable, Iterator
 
-from .errors import ShapeError, SizeMismatchError
-from .partitions import Composition, Partition, SkewShape, _partitions_between, _size_error
+from .errors import PartitionError, ShapeError, SizeMismatchError
+from .partitions import Partition, SkewShape, _partitions_between, _size_error
 from .partitions import coerce_same_size, cycle_types
 
 __all__ = [
@@ -134,18 +134,32 @@ def _chains(lam: tuple[int, ...], sizes: tuple[int, ...]) -> dict[tuple, int]:
     return table
 
 
+def _composition(pi: Iterable[int]) -> tuple[int, ...]:
+    """pi, a composition, as a tuple of positive ints, else PartitionError.
+    A Partition is returned as is: its parts were checked when it was built."""
+    if type(pi) is Partition:
+        return pi
+    try:
+        parts = tuple(pi)
+    except TypeError as exc:
+        raise PartitionError(f"a composition is an iterable of ints, got {pi!r}") from exc
+    for a in parts:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise PartitionError(f"composition parts must be integers, got {a!r}")
+        if a <= 0:
+            raise PartitionError(f"composition parts must be positive: {parts!r}")
+    return parts
+
+
 def lr_pair_count(lam: Iterable[int], mu: Iterable[int], pi: Iterable[int]) -> int:
     """Pairs of LR multitableaux of shapes lam and mu sharing their contents.
 
-    pi may be any composition; the count only depends on the multiset of
-    its parts, so they are sorted in decreasing order, and contents[i] runs
-    over the partitions of the i-th of them.  The count is the dot product
-    of two sparse tables, {contents: multitableaux} for lam and for mu.  Each
-    table is built once per shape and sorted pi, by a walk from the last
-    content to the first in which the contents tuples that end alike share
-    the layers of their common suffix.
+    pi may be any composition, a sequence of positive ints; the count only
+    depends on the multiset of its parts, so they are sorted in decreasing
+    order, and contents[i] runs over the partitions of the i-th of them.
+    The count is the dot product of the two shapes' tables (module docstring).
     """
-    sizes = tuple(sorted(Composition(pi), reverse=True))
+    sizes = tuple(sorted(_composition(pi), reverse=True))
     lam, mu = coerce_same_size(lam, mu)
     if sum(sizes) != sum(lam):
         raise _size_error((lam, mu, sizes))
@@ -161,7 +175,7 @@ def kostka(nu: Iterable[int], pi: Iterable[int]) -> int:
     pi is honored in the given order (the count is invariant under
     permuting it, but that fact is verified by the tests, not assumed).
     """
-    pi = Composition(pi)
+    pi = _composition(pi)
     nu = Partition(nu)
     if sum(nu) != sum(pi):
         raise _size_error((nu, sorted(pi, reverse=True)))
@@ -210,4 +224,4 @@ def perm_character_decomp(pi: Iterable[int]) -> dict[Partition, int]:
     """Young's rule: multiplicities of irreducibles in the permutation
     character of the Young subgroup S_pi, as a {partition: Kostka} map in
     reverse lex order of the partitions."""
-    return dict(_decomp(tuple(Composition(pi))))
+    return dict(_decomp(tuple(_composition(pi))))

@@ -1,4 +1,4 @@
-"""Exact arithmetic on integer partitions, compositions, and skew diagrams.
+"""Exact arithmetic on integer partitions and skew diagrams.
 
 Everything in this module is immutable and pure, so values can be shared
 freely (including across threads) and used as dict keys.
@@ -21,7 +21,6 @@ from .errors import PartitionError, ShapeError, SizeMismatchError
 
 __all__ = [
     "Partition",
-    "Composition",
     "SkewShape",
     "conjugate",
     "intersect",
@@ -45,7 +44,10 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is Partition and cls is Partition:
             return parts
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError as exc:
+            raise PartitionError(f"a partition is an iterable of ints, got {parts!r}") from exc
         prev = parts[0] if parts else 0
         for a in parts:
             # The exact type test first: a plain int skips the two isinstance calls.
@@ -62,9 +64,6 @@ class Partition(tuple):
         while end and parts[end - 1] == 0:
             end -= 1
         return tuple.__new__(cls, parts[:end])
-
-    def __getnewargs__(self):
-        return (tuple(self),)
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
@@ -85,34 +84,6 @@ class Partition(tuple):
         """Row-wise containment of diagrams: other[i] <= self[i] everywhere."""
         other = Partition(other)
         return len(other) <= len(self) and all(o <= s for s, o in zip(self, other))
-
-
-class Composition(tuple):
-    """Strictly positive integers; unlike a partition, order matters."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        if type(parts) is Partition:
-            # A Partition's parts are positive ints already.
-            return tuple.__new__(cls, parts)
-        parts = tuple(parts)
-        for a in parts:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise PartitionError(f"composition parts must be integers, got {a!r}")
-            if a <= 0:
-                raise PartitionError(f"composition parts must be positive: {parts!r}")
-        return super().__new__(cls, parts)
-
-    def __getnewargs__(self):
-        return (tuple(self),)
-
-    def __repr__(self) -> str:
-        return f"Composition({tuple(self)!r})"
-
-    @property
-    def size(self) -> int:
-        return sum(self)
 
 
 class SkewShape(namedtuple("SkewShape", "outer inner")):
@@ -293,6 +264,8 @@ _BRACKETS = {"[": "]", "(": ")"}
 
 def parse_partition(text: str) -> Partition:
     """Parse the comma syntax "a,b,c"; surrounding [] or () are accepted."""
+    if not isinstance(text, str):
+        raise PartitionError(f"partition text must be a str, got {text!r}")
     s = text.strip()
     if s[:1] in _BRACKETS:
         if not s.endswith(_BRACKETS[s[0]]):

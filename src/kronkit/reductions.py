@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import ShapeError
+from .errors import PartitionError, ShapeError
 from .partitions import Partition, coerce_same_size
 
 __all__ = [
@@ -40,6 +40,8 @@ def ceil_half(a: int) -> int:
     Python's floored division makes (a + 1) // 2 exact; a truncating
     division would silently shift negative numerators down by one.
     """
+    if type(a) is not int:
+        raise PartitionError(f"ceil_half needs an int, got {a!r}")
     return (a + 1) // 2
 
 

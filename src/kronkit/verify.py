@@ -32,6 +32,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .characters import _places
+from .errors import PartitionError
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import _decomp, lr_pair_count
@@ -272,7 +273,13 @@ def _cpus() -> int:
 
 def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
     """Run one named suite, or the ALL_SUITES in that order, on at most
-    `jobs` processes (no pool for one)."""
+    `jobs` processes (no pool for one).  Before any pool starts, an unknown
+    name, a max_m below 0 or one that is not a plain int, or such a jobs,
+    raises PartitionError."""
+    if name not in (*SUITES, "all"):
+        raise PartitionError(f"unknown suite {name!r}; the suites are {(*SUITES, 'all')}")
+    if type(max_m) is not int or type(jobs) is not int or max_m < 0:
+        raise PartitionError(f"need an int max_m >= 0 and an int jobs, got {max_m!r}, {jobs!r}")
     names = ALL_SUITES if name == "all" else (name,)
     jobs = max(1, min(jobs, _cpus()))
     if jobs == 1:

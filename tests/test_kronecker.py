@@ -244,6 +244,12 @@ class TestExpand:
         assert all(k > 0 for _, k in expansion.items())
         assert expansion[(3, 1)] == 0  # absent key reads as zero
 
+    def test_entry_of_another_size_is_refused(self):
+        expansion = kron_expand((2, 2), (2, 2))
+        for nu in [(5,), (), (1, 1, 1)]:
+            with pytest.raises(SizeMismatchError, match=re.escape("sizes differ: [4, ")):
+                expansion[nu]
+
 
 class TestCanonicalTriple:
     def test_sorts_longest_first(self):

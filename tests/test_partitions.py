@@ -1,10 +1,10 @@
+import pickle
 import re
 
 from hypothesis import given, strategies as st
 import pytest
 
 from kronkit import (
-    Composition,
     Partition,
     PartitionError,
     RectangleFrame,
@@ -15,14 +15,17 @@ from kronkit import (
     cycle_types,
     format_partition,
     intersect,
+    kostka,
     kron_coeff,
+    lr_pair_count,
     parse_partition,
     partitions_of,
+    perm_character_decomp,
     rectangle_reduce,
     stability_inflate,
 )
 from kronkit.characters import _counts
-from kronkit.lr import _hstrips
+from kronkit.lr import _composition, _hstrips
 from kronkit.partitions import _partitions_between
 from kronkit.reductions import _narrow, _widen
 from oracles import (
@@ -105,6 +108,8 @@ class TestPartitionType:
             ((3, 0, 1), "parts not weakly decreasing: (3, 0, 1)"),
             ((0, 1), "parts not weakly decreasing: (0, 1)"),
             ((2, 0, 0, 1), "parts not weakly decreasing: (2, 0, 0, 1)"),
+            (3, "a partition is an iterable of ints, got 3"),
+            (None, "a partition is an iterable of ints, got None"),
         ],
     )
     def test_rejection_messages(self, raw, message):
@@ -138,6 +143,12 @@ class TestPartitionType:
         assert lam.length == 3
         assert lam.part(0) == 4
         assert lam.part(5) == 0
+
+    def test_pickles_as_a_partition(self):
+        for lam in [Partition((3, 1, 1)), Partition()]:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(lam, protocol))
+                assert type(back) is Partition and back == lam
 
     def test_contains(self):
         assert Partition((3, 2)).contains((2, 2))
@@ -514,26 +525,41 @@ class TestTextFormat:
 
 
 class TestComposition:
+    """A composition pi is checked where it enters lr, by the same check in
+    each of lr_pair_count, kostka and perm_character_decomp."""
+
+    ENTRY_POINTS = [
+        lambda pi: lr_pair_count((3, 2), (3, 2), pi),
+        lambda pi: kostka((3, 2), pi),
+        perm_character_decomp,
+    ]
+
     def test_valid(self):
-        pi = Composition((2, 1, 2))
-        assert pi.size == 5
+        pi = (2, 1, 2)
+        assert lr_pair_count((3, 2), (3, 2), pi) == lr_pair_count((3, 2), (3, 2), (2, 2, 1))
+        assert kostka((3, 2), pi) == kostka((3, 2), (2, 2, 1)) == 2
+        assert {sum(nu) for nu in perm_character_decomp(pi)} == {5}
 
     def test_rejects_zero_part(self):
-        with pytest.raises(PartitionError):
-            Composition((2, 0, 1))
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(PartitionError):
+                call((2, 0, 1))
 
     def test_rejects_bool(self):
-        with pytest.raises(PartitionError):
-            Composition((2, True))
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(PartitionError):
+                call((2, True))
 
     def test_from_a_partition(self):
-        pi = Composition(Partition((3, 1, 1)))
-        assert type(pi) is Composition and pi == (3, 1, 1)
-        assert type(Composition(Partition())) is Composition
+        for pi in [Partition((3, 1, 1)), Partition()]:
+            assert _composition(pi) is pi
+        for call in self.ENTRY_POINTS[1:]:
+            assert call(Partition((3, 1, 1))) == call((3, 1, 1))
 
     def test_other_input_is_checked(self):
         # Only a Partition skips the checks; a tuple of the same parts does not.
-        with pytest.raises(PartitionError, match="must be positive"):
-            Composition((3, 0, 1))
-        with pytest.raises(PartitionError, match="must be integers, got 1.0"):
-            Composition([3, 1.0])
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(PartitionError, match="must be positive"):
+                call((3, 0, 1))
+            with pytest.raises(PartitionError, match="must be integers, got 1.0"):
+                call([3, 1.0])

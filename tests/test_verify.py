@@ -13,6 +13,7 @@ import pytest
 import kronkit.lr as lr_mod
 import kronkit.verify as verify_mod
 from kronkit.cli import main
+from kronkit.errors import PartitionError
 from kronkit.partitions import cycle_types
 from kronkit.kronecker import kron_coeff_direct
 from kronkit.verify import run_suite
@@ -35,6 +36,30 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     for cpus in (1, None):  # os.cpu_count() is None when it cannot tell
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_suite("reduction", 3, jobs=64) == serial
+
+
+@pytest.mark.parametrize(
+    "name, max_m, jobs",
+    [
+        ("nope", 3, 2),
+        (["lr"], 3, 2),
+        ("lr", 2.5, 2),
+        ("lr", True, 2),
+        ("lr", -1, 2),
+        ("lr", "3", 2),
+        ("lr", 3, 1.5),
+    ],
+)
+def test_bad_arguments_are_refused_before_any_pool(monkeypatch, name, max_m, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(PartitionError) as info:
+        run_suite(name, max_m, jobs)
+    if max_m == 3 and jobs == 2:  # an unknown name: the message lists the suites
+        assert all(repr(s) in str(info.value) for s in (*verify_mod.SUITES, "all"))
 
 
 def shard_results(names, max_m, nshards):
