@@ -11,16 +11,17 @@ which _dim reads off the hook lengths of the beta-set (Frame, Robinson &
 Thrall 1954), so no shape is queued for its 1-strips.  Shapes are
 int-bitmask beta-sets, and one memo, _rows, keeps each shape's row cut
 down to the classes with parts <= K for the largest K asked of it.  Its
-entries grow in place, so it is a plain dict under a lock; every other
-memo here is an lru_cache of one key.  mn_value makes the same strip moves
-over the parts of one cycle type, for single values at sizes where no row
-fits in memory.
+entries grow in place, so it is a plain dict under a lock.  Every other
+memo here is an lru_cache of one key: _counts, _places and class_weights
+per size, and _row, the whole rows behind character_row, per partition.
+mn_value makes the same strip moves over the parts of one cycle type, for
+single values at sizes where no row fits in memory.
 
-Class sizes n!/z_rho, dimensions (by the same hook lengths), and skew
-characters round out the ground-truth layer that every fast path is checked
-against.  A character is one integer row in cycle_types(n) order, as
-character_row returns it; kronecker holds the class sums over such rows.
-All arithmetic is plain Python integers, so nothing ever overflows or rounds.
+Class sizes n!/z_rho and dimensions (by the same hook lengths) round out
+the ground-truth layer that every fast path is checked against.  A
+character is one integer row in cycle_types(n) order, as character_row
+returns it; kronecker holds the class sums over such rows.  All
+arithmetic is plain Python integers, so nothing ever overflows or rounds.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Iterable
 
-from .errors import ShapeError
-from .lr import lr_coeff
-from .partitions import Partition, SkewShape, coerce_same_size, cycle_types, partitions_of
+from .partitions import Partition, coerce_same_size, cycle_types
 
 __all__ = [
     "cycle_types",
@@ -42,7 +41,6 @@ __all__ = [
     "character_row",
     "dimension",
     "cycle_sign",
-    "skew_character",
 ]
 
 # Guards _rows below, the one memo whose entries grow in place.
@@ -89,13 +87,11 @@ def class_weights(n: int) -> tuple[int, ...]:
     return tuple([order // _centralizer(rho) for rho in types])
 
 
-@lru_cache(maxsize=None)
 def _beta_set(parts: tuple[int, ...]) -> int:
     """The abacus of a partition: one bead (set bit) per row, at its first-column hook.
 
     A zero row would set bit 0 and push every bead up one, so a mask with
     bit 0 clear names exactly one partition (James & Kerber 1981, 2.7).
-    Cached, so that a warm character_row is two dict lookups.
     """
     rows = len(parts)
     return sum(1 << (part + rows - 1 - i) for i, part in enumerate(parts))
@@ -189,7 +185,13 @@ def _fill(mask: int, n: int) -> tuple[int, ...]:
 
 def character_row(lam: Iterable[int]) -> tuple[int, ...]:
     """chi^lam over cycle_types(|lam|), in that order."""
-    lam = Partition(lam)
+    return _row(Partition(lam))
+
+
+# Keyed on checked Partitions only, as (3, 2.0) hashes equal to (3, 2).  Its
+# rows are the tuples _rows holds, so it costs one entry each.
+@lru_cache(maxsize=1024)
+def _row(lam: Partition) -> tuple[int, ...]:
     n = sum(lam)
     mask = _beta_set(lam)
     row = _rows.get(mask, ())
@@ -230,19 +232,3 @@ def cycle_sign(rho: Iterable[int]) -> int:
     """Sign of any permutation of cycle type rho."""
     rho = Partition(rho)
     return -1 if (rho.size - rho.length) % 2 else 1
-
-
-def skew_character(shape: SkewShape) -> dict[Partition, int]:
-    """Expansion of the skew character of shape, a SkewShape, into irreducibles.
-
-    Keys are partitions of |shape| with nonzero multiplicity; the empty
-    shape yields the unit of degree zero.
-    """
-    if not isinstance(shape, SkewShape):
-        raise ShapeError(f"shape must be a SkewShape, got {shape!r}")
-    out = {}
-    for tau in partitions_of(shape.size):
-        c = lr_coeff(shape, tau)
-        if c:
-            out[tau] = c
-    return out

@@ -24,8 +24,10 @@ carry into its neighbour, so a wrong row still fails the division by m!
 rather than aliasing.  Only one nu of each conjugate pair has a field:
 chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
 classes and B over the odd ones, A + B holds the totals for nu and A - B
-those for nu'.  _pack(m), an lru_cache like every memo here, keeps the
-packed columns of S_m.
+those for nu'.  The memos here are _weighted and _pack(m), the packed
+columns of S_m; rows, conjugates and skew characters are read from the
+memos beside the functions that compute them, characters._row,
+partitions._conjugate and lr._skew.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple
 
-from .characters import _places, character_row, class_weights, cycle_sign, cycle_types
-from .characters import skew_character
+from .characters import _places, _row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
-from .partitions import Partition, SkewShape, _size_error, coerce_same_size, conjugate, intersect
+from .lr import _skew
+from .partitions import Partition, _conjugate, _size_error, coerce_same_size, intersect
 from .reductions import ReductionTrace, TraceStep, _narrow, _rectangle, two_row_formula
 
 __all__ = [
@@ -67,16 +69,10 @@ def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _coefficient(total, sum(lam), lambda: f"class sum for ({lam!r}, {mu!r}, {nu!r})")
 
 
-# The rows the class sum reads, and the rows of its first slot times the
-# class sizes.  Keys are checked Partitions only: a raw tuple hashes equal to
-# the Partition it names, so input is validated before it reaches a memo.
-# Both look character_row up when they miss, so a rebound row function is
-# the one that fills them.
-@lru_cache(maxsize=1024)
-def _row(lam: Partition) -> tuple[int, ...]:
-    return character_row(lam)
-
-
+# The rows of the class sum's first slot times the class sizes.  Keys are
+# checked Partitions only: a raw tuple hashes equal to the Partition it names,
+# so input is validated before it reaches a memo.  _row is looked up when it
+# misses, so a rebound row function is the one that fills it.
 @lru_cache(maxsize=256)
 def _weighted(lam: Partition) -> tuple[int, ...]:
     return tuple(map(mul, class_weights(sum(lam)), _row(lam)))
@@ -158,10 +154,10 @@ def _pack(m: int) -> _Packed:
     place = _places(m)
     pairs = []
     for i, nu in enumerate(types):
-        j = place[conjugate(nu)]
+        j = place[_conjugate(nu)]
         if i <= j:
             pairs.append((i, j))
-    rows = [character_row(types[i]) for i, _ in pairs]
+    rows = [_row(types[i]) for i, _ in pairs]
     # As the class sizes sum to m!, a field of A or of B is at most m! * f**3
     # in size.  Its bias in fields(), 2**(8 * width - 1), needs one bit more;
     # the second bit is spare.
@@ -201,9 +197,7 @@ def kron_expand(lam, mu) -> KroneckerExpansion:
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
     packed = _pack(m)
-    tensor = [
-        w * x * y for w, x, y in zip(class_weights(m), character_row(lam), character_row(mu))
-    ]
+    tensor = [w * x * y for w, x, y in zip(class_weights(m), _row(lam), _row(mu))]
     even = packed.fields(_dot(compress(tensor, packed.even), packed.even_columns))
     odd = packed.fields(_dot(compress(tensor, packed.odd), packed.odd_columns))
     totals = [0] * len(tensor)
@@ -226,11 +220,6 @@ def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     """Sorted by length descending, then lexicographically; the order the
     reduction machinery expects (longest partition in the first slot)."""
     return tuple(sorted(coerce_same_size(lam, mu, nu), key=_role_key))
-
-
-# Conjugates for _dvir_bound.  It meets every partition the dispatcher gets
-# as far as the class sum, of any size, so the memo is capped.
-_conjugate = lru_cache(maxsize=1024)(conjugate)
 
 
 def _dvir_bound(cur) -> TraceStep | None:
@@ -270,25 +259,18 @@ def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     length condition fails.
     """
     triple = lam, mu, nu = coerce_same_size(lam, mu, nu)
-    cross = intersect(lam, conjugate(mu))
+    cross = intersect(lam, _conjugate(mu))
     if nu.length != cross.size:
         return None
     rho = _narrow(nu, 1)
     left = _skew(lam, cross)
-    right = _skew(mu, intersect(conjugate(lam), mu))
+    right = _skew(mu, intersect(_conjugate(lam), mu))
     # l(nu) = |lam ∩ mu'| = |lam' ∩ mu|, so sigma, tau and rho all have m - l(nu) cells.
     total = 0
     for sigma, c1 in left:
         for tau, c2 in right:
             total += c1 * c2 * _direct(sigma, tau, rho)
     return TraceStep("dvir", triple, triple, value=total)
-
-
-@lru_cache(maxsize=256)
-def _skew(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The items of skew_character(outer/inner), which dvir_reduce reads once
-    per nu although they depend on lam and mu alone."""
-    return tuple(skew_character(SkewShape(outer, inner)).items())
 
 
 def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:

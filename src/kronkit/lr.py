@@ -20,10 +20,11 @@ from typing import Iterable, Iterator
 
 from .errors import PartitionError, ShapeError, SizeMismatchError
 from .partitions import Partition, SkewShape, _partitions_between, _size_error
-from .partitions import coerce_same_size, cycle_types
+from .partitions import coerce_same_size, cycle_types, partitions_of
 
 __all__ = [
     "lr_coeff",
+    "skew_character",
     "lr_pair_count",
     "kostka",
     "perm_character_decomp",
@@ -89,6 +90,29 @@ def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]
             grid[i][j] = 0
             idx -= 1
     return total
+
+
+def skew_character(shape: SkewShape) -> dict[Partition, int]:
+    """Expansion of the skew character of shape, a SkewShape, into irreducibles.
+
+    Keys are partitions tau of |shape| with nonzero lr_coeff(shape, tau);
+    the empty shape yields the unit of degree zero.
+    """
+    if not isinstance(shape, SkewShape):
+        raise ShapeError(f"shape must be a SkewShape, got {shape!r}")
+    return dict(_skew(shape.outer, shape.inner))
+
+
+@lru_cache(maxsize=256)
+def _skew(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The items of skew_character(SkewShape(outer, inner)), for checked
+    Partitions with inner inside outer; dvir_reduce reads them once per nu."""
+    out = []
+    for tau in partitions_of(outer.size - inner.size):
+        c = _lr(outer, inner, tau)
+        if c:
+            out.append((tau, c))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -127,7 +127,13 @@ def _size_error(parts) -> SizeMismatchError:
 
 def conjugate(lam: Iterable[int]) -> Partition:
     """Transpose of the diagram: column lengths of lam."""
-    lam = Partition(lam)
+    return _conjugate(Partition(lam))
+
+
+# Keyed on checked Partitions only, as (3, 2.0) hashes equal to (3, 2).  The
+# dispatcher meets partitions of every size here, so the memo is capped.
+@lru_cache(maxsize=1024)
+def _conjugate(lam: Partition) -> Partition:
     if not lam:
         return lam
     cols = [0] * lam[0]
@@ -154,14 +160,16 @@ def partitions_of(
 
     Each partition appears exactly once; the order is deterministic so that
     downstream reports are reproducible byte for byte.  m must be a plain
-    int >= 0 and each bound a plain int or None, else PartitionError.
+    int >= 0 and each bound a plain int >= 0 or None, else PartitionError.
     """
     bounds = max_length, max_part
     if type(m) is not int or any(b is not None and type(b) is not int for b in bounds):
         raise PartitionError(f"need an int m and int or None bounds, got {m!r}, {bounds!r}")
     if m < 0:
         raise PartitionError(f"cannot partition the negative integer {m}")
-    rows = m if max_length is None else max(0, min(max_length, m))
+    if any(b is not None and b < 0 for b in bounds):
+        raise PartitionError(f"bounds must be >= 0 or None, got {bounds!r}")
+    rows = m if max_length is None else min(max_length, m)
     width = m if max_part is None else min(max_part, m)
     if rows == width == m:
         yield from _zs1(m)

@@ -127,10 +127,6 @@ class ReductionTrace:
         self.steps.append(step)
 
     @property
-    def value(self) -> int | None:
-        return self.steps[-1].value if self.steps else None
-
-    @property
     def method(self) -> str:
         """Tag of the step that produced the value."""
         name = self.steps[-1].theorem if self.steps else "direct"

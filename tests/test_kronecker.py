@@ -25,7 +25,7 @@ from kronkit import (
     stability_inflate,
 )
 from kronkit.kronecker import _pack, _row, _weighted
-from kronkit.partitions import partitions_of
+from kronkit.partitions import _conjugate, partitions_of
 
 
 @st.composite
@@ -135,18 +135,24 @@ class TestKernel:
         # (3, 2) and (3, 1, 1), so only a check before the memos refuses them.
         kron_coeff_direct(good, good, (5,))
         kron_coeff(good, good, (5,))
-        hits = _weighted.cache_info().hits
-        _weighted(Partition(good))
-        assert _weighted.cache_info().hits == hits + 1
+        character_row(good)
+        conjugate(good)
+        for memo in (_weighted, _row, _conjugate):
+            hits = memo.cache_info().hits
+            memo(Partition(good))
+            assert memo.cache_info().hits == hits + 1
         for entry in (kron_coeff_direct, kron_coeff):
             with pytest.raises(PartitionError):
                 entry(*bad)
+        for entry in (character_row, conjugate):
+            with pytest.raises(PartitionError):
+                entry(bad[0])
 
 
 def _fresh_memos(monkeypatch):
-    """Empty copies of the memos that hold rows, so a patched character_row
-    reaches both class sums."""
-    for memo in (_pack, _row, _weighted):
+    """Empty copies of the memos that hold rows, so a patched _row reaches
+    both class sums."""
+    for memo in (_pack, _weighted):
         fresh = lru_cache(maxsize=None)(memo.__wrapped__)
         monkeypatch.setattr(f"kronkit.kronecker.{memo.__name__}", fresh)
 
@@ -156,7 +162,7 @@ class TestExactnessGuard:
     # Over S_2 a row (1, 0) leaves the class sum 1/2!, and (-2, 0) gives -8/2!.
     @pytest.mark.parametrize("row", [(1, 0), (-2, 0)])
     def test_bad_class_sums_raise(self, monkeypatch, row):
-        monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: row)
         # kron_expand must pack the patched rows, not an S_2 table packed
         # earlier, and the class sum must read them, not rows memoised earlier.
         _fresh_memos(monkeypatch)
@@ -176,7 +182,7 @@ class TestExactnessGuard:
         "row", [(2**200, 0, 0), (5**90, -(5**90), 7), (-(3**150), 1, 3**150 + 1)]
     )
     def test_huge_rows_raise_on_their_own_total(self, monkeypatch, row):
-        monkeypatch.setattr("kronkit.kronecker.character_row", lambda lam: row)
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: row)
         _fresh_memos(monkeypatch)
         total = 2 * row[0] ** 3 + 3 * row[1] ** 3 + row[2] ** 3
         assert total % 6 or total < 0
@@ -187,6 +193,19 @@ class TestExactnessGuard:
         message = f"expansion of {pair!r} at Partition((3,)) gave {total}/3!"
         with pytest.raises(ExactnessError, match=re.escape(message)):
             kron_expand(*pair)
+
+
+def test_result_reprs():
+    # Neither result record is a named tuple; each repr names its fields.
+    assert repr(kron_expand((2,), (1, 1))) == (
+        "KroneckerExpansion(degree=2, values={Partition((1, 1)): 1})"
+    )
+    assert repr(kron_coeff((1,), (1,), (1,))[1]) == (
+        "ReductionTrace(steps=[TraceStep(theorem='rectangle-reduce', "
+        "before=(Partition((1,)), Partition((1,)), Partition((1,))), "
+        "after=(Partition(()), Partition(()), Partition(())), "
+        "frame=RectangleFrame(p=1, q=1, r=1, t=1), intermediates=None, value=1)])"
+    )
 
 
 class TestExpand:

@@ -10,18 +10,17 @@ from kronkit import characters, kronecker, lr, partitions, verify
 
 MEMOS = [
     partitions.cycle_types,
+    partitions._conjugate,
     characters.class_weights,
     characters._counts,
     characters._places,
-    characters._beta_set,
+    characters._row,
     lr._lr,
+    lr._skew,
     lr._chains,
     lr._decomp,
     kronecker._pack,
-    kronecker._conjugate,
-    kronecker._row,
     kronecker._weighted,
-    kronecker._skew,
     verify._direct_memo,
     verify._expansion,
     verify._inflated,
@@ -45,6 +44,16 @@ def test_no_memo_is_left_off_the_list():
         if hasattr(value, "cache_info")
     }
     assert set(found) == set(map(id, MEMOS)), sorted(found.values())
+
+
+def test_each_memo_sits_beside_the_function_it_caches():
+    # A module may read another module's memo, but not wrap another module's
+    # function in a cache of its own.  verify._inflated caches _widen for
+    # one sweep only, and _clear_memos empties it.
+    for memo in MEMOS:
+        if memo is not verify._inflated:
+            home = sys.modules[memo.__wrapped__.__module__]
+            assert getattr(home, memo.__wrapped__.__name__, None) is memo, memo
 
 
 def test_cycle_types_is_one_memo():

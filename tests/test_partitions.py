@@ -429,6 +429,12 @@ class TestPartitionsOf:
             with pytest.raises(PartitionError, match="need an int m and int or None bounds"):
                 cycle_types(*args)
 
+    @pytest.mark.parametrize("args", [(0, -1), (0, None, -2), (3, -1)])
+    def test_refuses_negative_bounds(self, args):
+        # No partition has a negative length or part, the empty one included.
+        with pytest.raises(PartitionError, match="bounds must be >= 0 or None"):
+            list(partitions_of(*args))
+
 
 class TestCycleTypes:
     """ZS1, the generator behind cycle_types and the unbounded partitions_of,
