@@ -2,15 +2,21 @@
 
 Each suite checks reduction-layer claims against the class-sum oracle on
 its work units (triples of partitions, or pairs for dvir) and collects
-counterexamples.  A run with jobs > 1 starts one process pool, and each
-worker sweeps every requested suite for its shard in turn, so the package
-memos one suite fills (character rows, the lr counts, the packed tables)
-serve the next.  A unit's shard is its suite's key mod jobs: the sorted
-triple's hash for the triple suites and pi's place in cycle_types(m) for
-lr, so the work that shares a memo entry stays on one shard, and the unit
-index for dvir and formulas.  Tuples of ints hash alike in every process,
-so the split does not depend on PYTHONHASHSEED.  Each property keeps the
-failures of smallest unit index, whatever the jobs.
+counterexamples.  A run is a list of tasks (suite, shard, nshards), each
+one shard of one suite's sweep, with nshards = ceil(jobs / suites), listed
+in suite order so that stability, the largest, starts first.  With jobs >
+1 one process pool takes the tasks as its workers come free.  So `all` at
+jobs 2 to 5 runs each suite whole on one worker, no cold work (inflated
+shapes, lr expansions, shard keys) is done twice, and the wall time cannot
+drop below the stability sweep's; only jobs 2 has been measured, on 2
+CPUs.  A worker keeps the package memos (character rows, the lr counts,
+the packed tables) from one task to the next.  A lone suite splits its
+units: a unit's shard is its suite's key mod nshards, the sorted triple's
+hash for the triple suites and pi's place in cycle_types(m) for lr, so the
+work that shares a memo entry stays on one shard, and the unit index for
+dvir and formulas.  Tuples of ints hash alike in every process, so the
+split does not depend on PYTHONHASHSEED.  At one shard no key is computed.
+Each property keeps the failures of smallest unit index, whatever the jobs.
 
 The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
 in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
@@ -191,7 +197,7 @@ def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):
     _clear_memos()
     try:
         for idx, unit in enumerate(units, 1):
-            if suite.key(idx, unit) % nshards != shard:
+            if nshards > 1 and suite.key(idx, unit) % nshards != shard:
                 continue
             for name, text in suite.check(unit):
                 checked[name] += 1
@@ -247,13 +253,14 @@ SUITES = {
 ALL_SUITES = ("stability", "reduction", "formulas", "dvir", "lr")
 
 
-def _shard(names, max_m: int, shard: int = 0, nshards: int = 1):
-    """One worker's share of a run: the named suites' sweeps for one shard, in order."""
-    return [prop for name in names for prop in SUITES[name](max_m, shard, nshards)]
+def _task(max_m: int, task):
+    """One task of a run, (suite, shard, nshards): that shard of the suite's sweep."""
+    name, shard, nshards = task
+    return SUITES[name](max_m, shard, nshards)
 
 
 def _merge(outs) -> list[SweepResult]:
-    """The shards' results as one SweepResult per property."""
+    """One suite's shard results as one SweepResult per property."""
     results = []
     for props in zip(*outs):
         # Stable by unit index alone, so failures inside one unit keep their order.
@@ -273,19 +280,26 @@ def _cpus() -> int:
 
 def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
     """Run one named suite, or the ALL_SUITES in that order, on at most
-    `jobs` processes (no pool for one).  Before any pool starts, an unknown
-    name, a max_m below 0 or one that is not a plain int, or such a jobs,
-    raises PartitionError."""
+    `jobs` processes (no pool for one).  The run is one task per shard of
+    each suite, ceil(jobs / suites) shards each, listed in suite order, so
+    `all` with jobs 2 to 5 runs whole suites and takes at least as long as
+    its stability sweep.  Before any pool starts, an unknown name, a max_m
+    below 0 or one that is not a plain int, or such a jobs, raises
+    PartitionError."""
     if name not in (*SUITES, "all"):
         raise PartitionError(f"unknown suite {name!r}; the suites are {(*SUITES, 'all')}")
     if type(max_m) is not int or type(jobs) is not int or max_m < 0:
         raise PartitionError(f"need an int max_m >= 0 and an int jobs, got {max_m!r}, {jobs!r}")
     names = ALL_SUITES if name == "all" else (name,)
     jobs = max(1, min(jobs, _cpus()))
+    nshards = -(-jobs // len(names))
+    tasks = [(suite, shard, nshards) for suite in names for shard in range(nshards)]
     if jobs == 1:
-        return _merge([_shard(names, max_m)])
-    # Imported here, so that only a run with a pool loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+        outs = list(map(partial(_task, max_m), tasks))
+    else:
+        # Imported here, so that only a run with a pool loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _merge(pool.map(partial(_shard, names, max_m, nshards=jobs), range(jobs)))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outs = list(pool.map(partial(_task, max_m), tasks))
+    return [res for i in range(0, len(outs), nshards) for res in _merge(outs[i : i + nshards])]

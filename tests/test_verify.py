@@ -62,9 +62,9 @@ def test_bad_arguments_are_refused_before_any_pool(monkeypatch, name, max_m, job
         assert all(repr(s) in str(info.value) for s in (*verify_mod.SUITES, "all"))
 
 
-def shard_results(names, max_m, nshards):
+def shard_results(suite, max_m, nshards):
     """Each shard's results, swept one after another in this process."""
-    return [verify_mod._shard(names, max_m, shard, nshards) for shard in range(nshards)]
+    return [verify_mod.SUITES[suite](max_m, shard, nshards) for shard in range(nshards)]
 
 
 @pytest.mark.parametrize("suite", sorted(verify_mod.SUITES))
@@ -72,7 +72,7 @@ def test_shards_split_the_instances_exactly(suite):
     serial = run_suite(suite, 4)
     assert all(res.checked for res in serial if res.name != "formula-consistency")
     for nshards in range(1, 5):
-        outs = shard_results((suite,), 4, nshards)
+        outs = shard_results(suite, 4, nshards)
         for res, props in zip(serial, zip(*outs), strict=True):
             assert {name for name, _, _ in props} == {res.name}
             assert sum(checked for _, checked, _ in props) == res.checked
@@ -90,13 +90,33 @@ def test_counterexamples_do_not_depend_on_shards(monkeypatch):
     serial = [res for suite in names for res in run_suite(suite, 5)]
     assert all(len(res.failures) == verify_mod.MAX_COUNTEREXAMPLES for res in serial)
     for nshards in range(1, 5):
-        assert verify_mod._merge(shard_results(names, 5, nshards)) == serial
+        merged = (verify_mod._merge(shard_results(suite, 5, nshards)) for suite in names)
+        assert [res for results in merged for res in results] == serial
+
+
+def test_one_shard_computes_no_key():
+    def no_key(idx, unit):
+        raise AssertionError("a shard key was computed")
+
+    for name, suite in verify_mod.SUITES.items():
+        want = [(prop, count) for prop, count, _ in suite(4)]
+        seen = []
+
+        def check(unit):
+            seen.append(unit)
+            return suite.check(unit)
+
+        got = suite._replace(key=no_key, check=check)(4, 0, 1)
+        assert [(prop, count) for prop, count, _ in got] == want
+        units = [u for m in range(5) for u in suite.units(cycle_types(m))]
+        assert seen == units, name
 
 
 class CountingPool:
-    """A ProcessPoolExecutor stand-in that maps in this process and counts its builds."""
+    """A ProcessPoolExecutor stand-in that maps in this process, counts its
+    builds and records the tasks it is given."""
 
-    built = 0
+    built, tasks = 0, []
 
     def __init__(self, max_workers):
         CountingPool.built += 1
@@ -107,18 +127,45 @@ class CountingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, tasks):
+        CountingPool.tasks = list(tasks)
+        return map(fn, CountingPool.tasks)
+
+
+def pooled(monkeypatch, name, max_m, jobs):
+    """run_suite(name, max_m, jobs) on jobs CPUs, its pool mapped in this process:
+    (results, the tasks the pool got, the pools built)."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    CountingPool.built = 0
+    return run_suite(name, max_m, jobs), CountingPool.tasks, CountingPool.built
 
 
 def test_one_pool_per_run(monkeypatch):
     serial = run_suite("all", 3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    CountingPool.built = 0
-    assert run_suite("all", 3, jobs=2) == serial
-    assert CountingPool.built == 1
+    results, tasks, built = pooled(monkeypatch, "all", 3, 2)
+    assert results == serial
+    assert built == 1
+    # Too few jobs for one per suite: each worker takes whole suites, largest first.
+    assert tasks == [(name, 0, 1) for name in verify_mod.ALL_SUITES]
+
+
+def test_a_lone_suite_is_split_into_shards(monkeypatch):
+    serial = run_suite("stability", 4)
+    results, tasks, built = pooled(monkeypatch, "stability", 4, 2)
+    assert results == serial
+    assert (tasks, built) == ([("stability", 0, 2), ("stability", 1, 2)], 1)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pooled_results_equal_the_serial_ones(monkeypatch, jobs):
+    # A wrong oracle fails stability, reduction, formulas and dvir, so the
+    # counterexamples are merged as well as the counts.
+    monkeypatch.setattr(verify_mod, "kron_coeff_direct", lambda lam, mu, nu: lam.size // 3)
+    for name in ("all", "stability", "lr", "dvir"):
+        serial = run_suite(name, 5)
+        assert pooled(monkeypatch, name, 5, jobs)[0] == serial
 
 
 def assignment(suite, max_m, nshards):
