@@ -15,6 +15,7 @@ hands its after-triple on.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PartitionError, ShapeError
@@ -70,7 +71,9 @@ class RectangleFrame(namedtuple("RectangleFrame", "p q r t")):
 
 
 # _widen and _narrow trust their sides, as a RectangleFrame has checked them,
-# so their results skip the Partition checks.
+# so their results skip the Partition checks.  _widen's memo is keyed on
+# checked Partitions only, as (3, 2.0) hashes equal to (3, 2).
+@lru_cache(maxsize=2048)
 def _widen(lam: Partition, width: int, height: int) -> Partition:
     """lam, padded with zeros to height >= len(lam) rows, plus width on each row."""
     return tuple.__new__(Partition, [a + width for a in lam] + [width] * (height - len(lam)))
@@ -140,18 +143,24 @@ def stability_inflate(lam, mu, nu, frame: RectangleFrame) -> Triple:
     """Add the frame rectangles (t)^p, (rt)^q, (qt)^r to lam, mu, nu.
 
     The Kronecker coefficient of the result equals that of the input; the
-    verification sweeps confirm this against the direct oracle.  It stays
+    stability sweep checks _inflate against the direct oracle.  It stays
     public as the paper's inflation, checked, and as the tests' inverse of
     rectangle_reduce.  A frame that is not a RectangleFrame is refused.
     """
     if not isinstance(frame, RectangleFrame):
         raise ShapeError(f"frame must be a RectangleFrame, got {frame!r}")
     lam, mu, nu = coerce_same_size(lam, mu, nu)
-    p, q, r, t = frame
-    if lam.length > p or mu.length > q or nu.length > r:
+    if lam.length > frame.p or mu.length > frame.q or nu.length > frame.r:
         raise ShapeError(
             f"lengths {(lam.length, mu.length, nu.length)} exceed frame {frame}"
         )
+    return _inflate((lam, mu, nu), frame)
+
+
+def _inflate(triple: Triple, frame: RectangleFrame) -> Triple:
+    """stability_inflate on a checked triple whose lengths fit the frame."""
+    lam, mu, nu = triple
+    p, q, r, t = frame
     return _widen(lam, t, p), _widen(mu, r * t, q), _widen(nu, q * t, r)
 
 

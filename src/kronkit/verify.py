@@ -22,11 +22,11 @@ The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
 in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
 multiset.  So the oracle's values are memoised on the sorted triple, which
 is exact because the class sum multiplies the same integers in any order.
-An inflated shape lam + (t)^p depends on lam, t and p alone, so the
-stability sweep keeps each one in a memo too.  The lr units of one
-(lam, mu) come in a row, so its expansion is kept in a one-entry memo.
-All three memos are emptied when a suite's sweep starts and ends on a
-shard, so no value outlives one sweep.
+The stability sweep inflates through reductions._inflate, the core of
+stability_inflate, whose inflated shapes reductions keeps in a capped memo.
+The lr units of one (lam, mu) come in a row, so its expansion is kept in a
+one-entry memo.  Both sweep memos are emptied when a suite's sweep starts
+and ends on a shard, so no value outlives one sweep.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .characters import cycle_types as _parts  # all partitions of m, in reverse
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import _decomp, lr_pair_count
 from .partitions import Partition, conjugate, format_partition, intersect
-from .reductions import RectangleFrame, _widen, four_two_two_formula, rectangle_reduce
+from .reductions import RectangleFrame, _inflate, four_two_two_formula, rectangle_reduce
 from .reductions import two_row_formula
 
 __all__ = ["SweepResult", "SUITES", "ALL_SUITES", "run_suite"]
@@ -92,22 +92,16 @@ def _oracle(name: str, triple, got: int, label: str = "gave"):
     return name, got != direct and f"{_fmt(*triple)} {label} {got}, direct {direct}"
 
 
-# lam + (width)^height depends on neither partner, so each is built once per sweep.
-_inflated = lru_cache(maxsize=2048)(_widen)
-
-
 def _check_stability(triple):
-    lam, mu, nu = triple
     a, b, c = map(len, triple)
     fits = [f for p, q, r, frames in _FRAMES if a <= p and b <= q and c <= r for f in frames]
     base = _direct(triple) if fits else None
     for frame in fits:
-        # stability_inflate without its checks: _FRAMES holds checked frames,
-        # and the lengths fit them.
-        p, q, r, t = frame
-        got = _direct((_inflated(lam, t, p), _inflated(mu, r * t, q), _inflated(nu, q * t, r)))
+        # _FRAMES holds checked frames, and the lengths fit them.
+        got = _direct(_inflate(triple, frame))
         yield "stability", got != base and (
-            f"{_fmt(*triple)} frame (p={p},q={q},r={r},t={t}) gave {got}, expected {base}"
+            f"{_fmt(*triple)} frame (p={frame.p},q={frame.q},r={frame.r},t={frame.t}) "
+            f"gave {got}, expected {base}"
         )
 
 
@@ -185,7 +179,6 @@ def _check_dispatch(triple):
 def _clear_memos() -> None:
     _direct_memo.cache_clear()
     _expansion.cache_clear()
-    _inflated.cache_clear()
 
 
 def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):
@@ -284,14 +277,14 @@ def run_suite(name: str, max_m: int, jobs: int = 1) -> list[SweepResult]:
     each suite, ceil(jobs / suites) shards each, listed in suite order, so
     `all` with jobs 2 to 5 runs whole suites and takes at least as long as
     its stability sweep.  Before any pool starts, an unknown name, a max_m
-    below 0 or one that is not a plain int, or such a jobs, raises
-    PartitionError."""
+    below 0, a jobs below 1, or either one not a plain int raises
+    PartitionError.  A jobs above the CPUs is cut down to them."""
     if name not in (*SUITES, "all"):
         raise PartitionError(f"unknown suite {name!r}; the suites are {(*SUITES, 'all')}")
-    if type(max_m) is not int or type(jobs) is not int or max_m < 0:
-        raise PartitionError(f"need an int max_m >= 0 and an int jobs, got {max_m!r}, {jobs!r}")
+    if type(max_m) is not int or type(jobs) is not int or max_m < 0 or jobs < 1:
+        raise PartitionError(f"need int max_m >= 0 and int jobs >= 1, got {max_m!r}, {jobs!r}")
     names = ALL_SUITES if name == "all" else (name,)
-    jobs = max(1, min(jobs, _cpus()))
+    jobs = min(jobs, _cpus())
     nshards = -(-jobs // len(names))
     tasks = [(suite, shard, nshards) for suite in names for shard in range(nshards)]
     if jobs == 1:

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from kronkit import (
     perm_character_decomp,
     skew_character,
 )
+import kronkit.characters as characters_mod
 from kronkit.characters import _beta_set, _counts, _dim, _places
 from kronkit.partitions import partitions_of
 from oracles import (
@@ -146,6 +149,38 @@ class TestCharacterRow:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == sum(len(cycle_types(n)) for n in range(15))
+
+    def test_threads_fill_the_rows_a_single_thread_does(self, monkeypatch):
+        # Four threads fill every row of S_16 into empty memos, each in its
+        # own order, switching as often as the interpreter lets them, so
+        # their fills of the shared smaller shapes interleave.
+        parts = list(partitions_of(16))
+        serial = {lam: character_row(lam) for lam in parts}
+        monkeypatch.setattr(characters_mod, "_rows", {0: (1,)})
+        monkeypatch.setattr(
+            characters_mod, "_row", lru_cache(maxsize=1024)(characters_mod._row.__wrapped__)
+        )
+        start, got = threading.Barrier(4), [None] * 4
+
+        def fill(i):
+            k = i * len(parts) // 4
+            order = parts[k:] + parts[:k]
+            start.wait(timeout=10)
+            got[i] = {lam: character_row(lam) for lam in (order[::-1] if i % 2 else order)}
+
+        threads = [threading.Thread(target=fill, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [serial] * 4
+        assert all(characters_mod._rows[_beta_set(lam)] == serial[lam] for lam in parts)
 
     def test_no_row_is_filled_for_its_identity_value_alone(self):
         # The identity entry comes from hook lengths, so a cold row queues

@@ -26,6 +26,7 @@ from kronkit import (
 )
 from kronkit.kronecker import _pack, _row, _weighted
 from kronkit.partitions import _conjugate, partitions_of
+from kronkit.reductions import RectangleFrame, _widen
 
 
 @st.composite
@@ -147,6 +148,15 @@ class TestKernel:
         for entry in (character_row, conjugate):
             with pytest.raises(PartitionError):
                 entry(bad[0])
+        # stability_inflate's memo of inflated shapes, lam + (1)^4 here.
+        frame = RectangleFrame(4, 2, 2, 1)
+        stability_inflate(good, (4, 1), (5,), frame)
+        info = _widen.cache_info()
+        with pytest.raises(PartitionError):
+            stability_inflate(*bad, frame)
+        assert _widen.cache_info() == info
+        _widen(Partition(good), 1, 4)
+        assert _widen.cache_info().hits == info.hits + 1
 
 
 def _fresh_memos(monkeypatch):

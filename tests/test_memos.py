@@ -6,7 +6,7 @@ import sys
 
 import kronkit
 import kronkit.cli  # noqa: F401  (with verify, the modules the package does not import)
-from kronkit import characters, kronecker, lr, partitions, verify
+from kronkit import characters, kronecker, lr, partitions, reductions, verify
 
 MEMOS = [
     partitions.cycle_types,
@@ -15,6 +15,7 @@ MEMOS = [
     characters._counts,
     characters._places,
     characters._row,
+    reductions._widen,
     lr._lr,
     lr._skew,
     lr._chains,
@@ -23,7 +24,6 @@ MEMOS = [
     kronecker._weighted,
     verify._direct_memo,
     verify._expansion,
-    verify._inflated,
     kronkit.cli.build_parser,
 ]
 
@@ -48,12 +48,10 @@ def test_no_memo_is_left_off_the_list():
 
 def test_each_memo_sits_beside_the_function_it_caches():
     # A module may read another module's memo, but not wrap another module's
-    # function in a cache of its own.  verify._inflated caches _widen for
-    # one sweep only, and _clear_memos empties it.
+    # function in a cache of its own.
     for memo in MEMOS:
-        if memo is not verify._inflated:
-            home = sys.modules[memo.__wrapped__.__module__]
-            assert getattr(home, memo.__wrapped__.__name__, None) is memo, memo
+        home = sys.modules[memo.__wrapped__.__module__]
+        assert getattr(home, memo.__wrapped__.__name__, None) is memo, memo
 
 
 def test_cycle_types_is_one_memo():

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import kronkit.lr as lr_mod
+import kronkit.reductions as reductions_mod
 import kronkit.verify as verify_mod
 from kronkit.cli import main
 from kronkit.errors import PartitionError
-from kronkit.partitions import cycle_types
+from kronkit.partitions import Partition, cycle_types
 from kronkit.kronecker import kron_coeff_direct
 from kronkit.verify import run_suite
 
@@ -48,6 +49,8 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         ("lr", -1, 2),
         ("lr", "3", 2),
         ("lr", 3, 1.5),
+        ("lr", 3, 0),
+        ("lr", 3, -1),
     ],
 )
 def test_bad_arguments_are_refused_before_any_pool(monkeypatch, name, max_m, jobs):
@@ -318,6 +321,25 @@ def test_memo_is_emptied_when_a_sweep_fails(monkeypatch):
     with pytest.raises(RuntimeError):
         run_suite("reduction", 6)
     assert verify_mod._direct_memo.cache_info().currsize == 0
+
+
+def test_stability_sweep_inflates_through_reductions(monkeypatch):
+    # The sweep must check the inflation stability_inflate makes, not a copy
+    # of it.  A _widen that moves one cell from its last row to its first
+    # keeps every size, so only the oracle's values can catch it.
+    widen = reductions_mod._widen
+
+    def moved(lam, width, height):
+        rows = list(widen(lam, width, height))
+        if len(rows) > 1:
+            rows[0] += 1
+            rows[-1] -= 1
+        return Partition(rows)
+
+    monkeypatch.setattr(reductions_mod, "_widen", moved)
+    (res,) = run_suite("stability", 4)
+    assert not res.ok
+    assert res.failures[0].startswith("stability: ")
 
 
 def test_stability_bytes_do_not_depend_on_jobs(capsys, monkeypatch):
