@@ -12,8 +12,8 @@ Thrall 1954), so no shape is queued for its 1-strips.  Shapes are
 int-bitmask beta-sets, and one memo, _rows, keeps each shape's row cut
 down to the classes with parts <= K for the largest K asked of it.  Its
 entries grow in place, so it is a plain dict under a lock.  Every other
-memo here is an lru_cache of one key: _counts, _places and class_weights
-per size, and _row, the whole rows behind character_row, per partition.
+memo here is an lru_cache of one key: _counts and class_weights per
+size, and _row, the whole rows behind character_row, per partition.
 mn_value makes the same strip moves over the parts of one cycle type, for
 single values at sizes where no row fits in memory.
 
@@ -58,13 +58,6 @@ def _counts(n: int) -> tuple[tuple[int, ...], ...]:
             row.append(row[-1] + counts[j - k][min(k, j - k)])
         counts.append(tuple(row))
     return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _places(n: int) -> dict[Partition, int]:
-    """The position of each cycle type in cycle_types(n).  One dict per n
-    is shared by every caller, and none writes to it."""
-    return {rho: i for i, rho in enumerate(cycle_types(n))}
 
 
 def _centralizer(rho: Partition) -> int:

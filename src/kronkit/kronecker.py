@@ -38,7 +38,7 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple
 
-from .characters import _places, _row, class_weights, cycle_sign, cycle_types
+from .characters import _row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .lr import _skew
 from .partitions import Partition, _conjugate, _size_error, coerce_same_size, intersect
@@ -151,7 +151,7 @@ def _ones(width: int, count: int) -> int:
 def _pack(m: int) -> _Packed:
     """The rows of one nu of each conjugate pair, packed column by column."""
     types = cycle_types(m)
-    place = _places(m)
+    place = {rho: i for i, rho in enumerate(types)}
     pairs = []
     for i, nu in enumerate(types):
         j = place[_conjugate(nu)]

@@ -1,32 +1,32 @@
 """Exhaustive verification sweeps over bounded triple spaces.
 
 Each suite checks reduction-layer claims against the class-sum oracle on
-its work units (triples of partitions, or pairs for dvir) and collects
-counterexamples.  A run is a list of tasks (suite, shard, nshards), each
-one shard of one suite's sweep, with nshards = ceil(jobs / suites), listed
-in suite order so that stability, the largest, starts first.  With jobs >
-1 one process pool takes the tasks as its workers come free.  So `all` at
-jobs 2 to 5 runs each suite whole on one worker, no cold work (inflated
-shapes, lr expansions, shard keys) is done twice, and the wall time cannot
-drop below the stability sweep's; only jobs 2 has been measured, on 2
-CPUs.  A worker keeps the package memos (character rows, the lr counts,
-the packed tables) from one task to the next.  A lone suite splits its
-units: a unit's shard is its suite's key mod nshards, the sorted triple's
-hash for the triple suites and pi's place in cycle_types(m) for lr, so the
-work that shares a memo entry stays on one shard, and the unit index for
-dvir and formulas.  Tuples of ints hash alike in every process, so the
-split does not depend on PYTHONHASHSEED.  At one shard no key is computed.
-Each property keeps the failures of smallest unit index, whatever the jobs.
+its work units, each a tuple of partitions (triples, or (lam, mu) pairs
+for dvir and lr), and collects counterexamples.  A run is a list of tasks
+(suite, shard, nshards), each one shard of one suite's sweep, with
+nshards = ceil(jobs / suites), listed in suite order so that stability,
+the largest, starts first.  With jobs > 1 one process pool takes the
+tasks as its workers come free.  So `all` at jobs 2 to 5 runs each suite
+whole on one worker, no cold work (inflated shapes, expansions) is done
+twice, and the wall time cannot drop below the stability sweep's; only
+jobs 2 has been measured, on 2 CPUs.  A worker keeps the package memos
+(character rows, the lr counts, the packed tables) from one task to the
+next.  A lone suite splits its units by one rule: a unit's shard is the
+hash of its sorted partitions mod nshards, so the reorderings of a unit,
+which ask the oracle for the same multisets, stay on one shard.  Tuples
+of ints hash alike in every process, so the split does not depend on
+PYTHONHASHSEED.  At one shard no key is computed.  Each property keeps
+the failures of smallest unit index, whatever the jobs.
 
 The sweeps ask the oracle for the same multiset many times: (lam, mu, nu)
 in frame (p, q, r) and (lam, nu, mu) in frame (p, r, q) inflate to one
 multiset.  So the oracle's values are memoised on the sorted triple, which
 is exact because the class sum multiplies the same integers in any order.
-The stability sweep inflates through reductions._inflate, the core of
-stability_inflate, whose inflated shapes reductions keeps in a capped memo.
-The lr units of one (lam, mu) come in a row, so its expansion is kept in a
-one-entry memo.  Both sweep memos are emptied when a suite's sweep starts
-and ends on a shard, so no value outlives one sweep.
+The memo is emptied when a suite's sweep starts and ends on a shard, so no
+value outlives one sweep.  The stability sweep inflates through
+reductions._inflate, the core of stability_inflate, whose inflated shapes
+reductions keeps in a capped memo.  The lr sweep expands each (lam, mu)
+once and checks every pi of its size against that expansion.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .characters import _places
 from .errors import PartitionError
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
@@ -119,19 +118,17 @@ def _check_reduction(triple):
 
 
 def _formula_units(parts):
-    """Two-row triples, then (<=4, <=2, <=2) ones with lam3 = lam4, tagged True."""
+    """The (<=4, <=2, <=2) triples with lam3 = lam4, which hold every two-row triple."""
     short = [p for p in parts if p.length <= 2]
     tall = [p for p in parts if p.length <= 4 and p.part(2) == p.part(3)]
-    yield from ((t, False) for t in product(short, repeat=3))
-    yield from (((lam, *pair), True) for lam in tall for pair in product(short, repeat=2))
+    return ((lam, *pair) for lam in tall for pair in product(short, repeat=2))
 
 
-def _check_formulas(unit):
-    triple, tall = unit
+def _check_formulas(triple):
     lam, mu, nu = triple
-    if not tall:
+    if lam.length <= 2:
         yield _oracle("formula-2row", triple, two_row_formula(*triple).value)
-    elif 2 * lam.part(2) <= min(mu.part(1), nu.part(1)):
+    if 2 * lam.part(2) <= min(mu.part(1), nu.part(1)):
         value = four_two_two_formula(*triple).value
         yield _oracle("formula-422", triple, value)
         if (lam.length, mu.length, nu.length) == (4, 2, 2):
@@ -150,35 +147,31 @@ def _check_dvir(pair):
             yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu).value)
 
 
-@lru_cache(maxsize=1)
-def _expansion(lam, mu):
-    # lr units with one (lam, mu) come in a row; kron_expand is looked up at call time.
-    return kron_expand(lam, mu)
-
-
-def _check_lr(unit):
-    lam, mu, pi = unit
+def _check_lr(pair):
+    lam, mu = pair
     # The keys are Partitions, as nu and pi are, so the map is read directly.
-    values = _expansion(lam, mu).values
-    lrp = lr_pair_count(lam, mu, pi)
-    # Young's rule for pi straight from lr's memo; perm_character_decomp copies it to a dict.
-    want = sum(k * values.get(nu, 0) for nu, k in _decomp(pi))
-    yield "lr-pair-identity", lrp != want and (
-        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
-    )
-    kron = values.get(pi, 0)
-    yield "lr-dominates-kron", lrp < kron and (
-        f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {kron}"
-    )
+    values = kron_expand(lam, mu).values
+    for pi in _parts(lam.size):
+        lrp = lr_pair_count(lam, mu, pi)
+        # Young's rule for pi straight from lr's memo; perm_character_decomp copies it to a dict.
+        want = sum(k * values.get(nu, 0) for nu, k in _decomp(pi))
+        yield "lr-pair-identity", lrp != want and (
+            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp}, Kostka-weighted sum {want}"
+        )
+        kron = values.get(pi, 0)
+        yield "lr-dominates-kron", lrp < kron and (
+            f"lr({_fmt(lam)},{_fmt(mu)};{_fmt(pi)}) = {lrp} < k = {kron}"
+        )
 
 
 def _check_dispatch(triple):
     yield _oracle("dispatch", triple, kron_coeff(*triple)[0], "fast")
 
 
-def _clear_memos() -> None:
-    _direct_memo.cache_clear()
-    _expansion.cache_clear()
+def _multiset(unit) -> int:
+    # A unit's shard key: the hash of its sorted partitions, _direct_memo's key for a
+    # triple.  Tuples of ints hash alike in every process and under any PYTHONHASHSEED.
+    return hash(tuple(sorted(unit)))
 
 
 def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):
@@ -187,58 +180,38 @@ def _sweep(suite: Suite, max_m: int, shard: int = 0, nshards: int = 1):
     checked = dict.fromkeys(suite.names, 0)
     failures = {name: [] for name in suite.names}
     units = chain.from_iterable(suite.units(_parts(m)) for m in range(max_m + 1))
-    _clear_memos()
+    _direct_memo.cache_clear()
     try:
         for idx, unit in enumerate(units, 1):
-            if nshards > 1 and suite.key(idx, unit) % nshards != shard:
+            if nshards > 1 and _multiset(unit) % nshards != shard:
                 continue
             for name, text in suite.check(unit):
                 checked[name] += 1
                 if text and len(failures[name]) < MAX_COUNTEREXAMPLES:
                     failures[name].append((idx, f"{name}: {text}"))
     finally:
-        _clear_memos()
+        _direct_memo.cache_clear()
     return [(name, checked[name], failures[name]) for name in suite.names]
 
 
 class Suite(NamedTuple):
     names: tuple[str, ...]  # property names, in print order
-    units: Callable  # units(parts): the work units built from the partitions of m, in order
+    units: Callable  # units(parts): the work units, tuples of partitions of m, in order
     check: Callable  # check(unit): (property, counterexample or False) per instance
-    key: Callable  # key(idx, unit): the unit's shard is key mod the number of shards
 
     __call__ = _sweep  # suite(max_m, shard=0, nshards=1): one shard of the sweep
 
 
-def _multiset(idx, triple) -> int:
-    # _direct_memo's key; tuples of ints hash alike in every process and under any PYTHONHASHSEED.
-    return hash(tuple(sorted(triple)))
-
-
-def _pi_place(idx, unit) -> int:
-    pi = unit[2]
-    return _places(pi.size)[pi]
-
-
-def _index(idx, unit) -> int:
-    return idx
-
-
 _pairs, _triples = partial(product, repeat=2), partial(product, repeat=3)
 SUITES = {
-    "stability": Suite(("stability",), _triples, _check_stability, _multiset),
-    "reduction": Suite(
-        ("reduction-zero", "reduction-preserve"), _triples, _check_reduction, _multiset
-    ),
+    "stability": Suite(("stability",), _triples, _check_stability),
+    "reduction": Suite(("reduction-zero", "reduction-preserve"), _triples, _check_reduction),
     "formulas": Suite(
-        ("formula-2row", "formula-422", "formula-consistency"),
-        _formula_units,
-        _check_formulas,
-        _index,
+        ("formula-2row", "formula-422", "formula-consistency"), _formula_units, _check_formulas
     ),
-    "dvir": Suite(("dvir",), _pairs, _check_dvir, _index),
-    "lr": Suite(("lr-pair-identity", "lr-dominates-kron"), _triples, _check_lr, _pi_place),
-    "dispatch": Suite(("dispatch",), _triples, _check_dispatch, _multiset),
+    "dvir": Suite(("dvir",), _pairs, _check_dvir),
+    "lr": Suite(("lr-pair-identity", "lr-dominates-kron"), _pairs, _check_lr),
+    "dispatch": Suite(("dispatch",), _triples, _check_dispatch),
 }
 
 # The suites "all" runs, in order.  dispatch is not among them, because the

@@ -13,7 +13,6 @@ MEMOS = [
     partitions._conjugate,
     characters.class_weights,
     characters._counts,
-    characters._places,
     characters._row,
     reductions._widen,
     lr._lr,
@@ -23,7 +22,6 @@ MEMOS = [
     kronecker._pack,
     kronecker._weighted,
     verify._direct_memo,
-    verify._expansion,
     kronkit.cli.build_parser,
 ]
 

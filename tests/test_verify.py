@@ -1,16 +1,16 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-import kronkit.lr as lr_mod
 import kronkit.reductions as reductions_mod
 import kronkit.verify as verify_mod
 from kronkit.cli import main
@@ -97,10 +97,11 @@ def test_counterexamples_do_not_depend_on_shards(monkeypatch):
         assert [res for results in merged for res in results] == serial
 
 
-def test_one_shard_computes_no_key():
-    def no_key(idx, unit):
+def test_one_shard_computes_no_key(monkeypatch):
+    def no_key(unit):
         raise AssertionError("a shard key was computed")
 
+    monkeypatch.setattr(verify_mod, "_multiset", no_key)
     for name, suite in verify_mod.SUITES.items():
         want = [(prop, count) for prop, count, _ in suite(4)]
         seen = []
@@ -109,7 +110,7 @@ def test_one_shard_computes_no_key():
             seen.append(unit)
             return suite.check(unit)
 
-        got = suite._replace(key=no_key, check=check)(4, 0, 1)
+        got = suite._replace(check=check)(4, 0, 1)
         assert [(prop, count) for prop, count, _ in got] == want
         units = [u for m in range(5) for u in suite.units(cycle_types(m))]
         assert seen == units, name
@@ -190,39 +191,16 @@ def assignment(suite, max_m, nshards):
 
 @pytest.mark.parametrize("nshards", [2, 3])
 def test_shards_own_their_memo_keys(nshards):
-    stability = assignment("stability", 5, nshards)
-    for triple, shard in stability.items():
-        for order in permutations(triple):
-            assert stability[order] == shard
-    lr = assignment("lr", 5, nshards)
-    by_pi = {}
-    for (lam, mu, pi), shard in lr.items():
-        assert by_pi.setdefault(pi, shard) == shard
-    for seen in (stability, lr):
+    # One rule for every suite: the reorderings of a unit are checked on one
+    # shard, where those of a triple share the oracle's memo entry.
+    for suite in verify_mod.SUITES:
+        seen = assignment(suite, 5, nshards)
+        for unit, shard in seen.items():
+            for order in permutations(unit):
+                assert seen.get(order, shard) == shard, (suite, unit)
         counts = Counter(seen.values())
-        assert len(counts) == nshards
-        assert max(counts.values()) < 1.5 * len(seen) / nshards
-
-
-def test_lr_shards_build_disjoint_chain_tables(monkeypatch):
-    # Units are sharded by pi's place, and a chain table is keyed by a shape
-    # and sorted pi, so no table is built on two shards.
-    chains = lr_mod._chains
-    keys = []
-
-    def recording(lam, sizes):
-        keys[-1].add((tuple(lam), sizes))
-        return chains(lam, sizes)
-
-    monkeypatch.setattr(lr_mod, "_chains", recording)
-    for shard in (0, 1):
-        chains.cache_clear()
-        keys.append(set())
-        verify_mod.SUITES["lr"](6, shard, 2)
-    assert keys[0] and keys[1]
-    assert not keys[0] & keys[1]
-    pairs = (product(cycle_types(m), repeat=2) for m in range(7))
-    assert keys[0] | keys[1] == {(tuple(lam), tuple(pi)) for pair in pairs for lam, pi in pair}
+        assert len(counts) == nshards, suite
+        assert max(counts.values()) < 1.5 * len(seen) / nshards, suite
 
 
 def test_shards_do_not_depend_on_the_hash_seed():
@@ -253,7 +231,7 @@ def test_shards_do_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(json.loads(proc.stdout))
     assert outs[0] == outs[1]
-    assert len(outs[0]["lr 2"]) == 505  # 1 + 1 + 8 + 27 + 125 + 343 units
+    assert len(outs[0]["lr 2"]) == 89  # the (lam, mu) pairs: 1 + 1 + 4 + 9 + 25 + 49
 
 
 def test_bench_tracer_sees_every_suite():
@@ -351,3 +329,35 @@ def test_stability_bytes_do_not_depend_on_jobs(capsys, monkeypatch):
         assert main(["verify", "--suite", "stability", "--max-m", "7", "--jobs", jobs]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] == "stability: PASS (9778 instances)\n"
+
+
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("lr", "1fb8e440a060cacccc98cc12aa38525819ee1dc0a902971c3566586457d807ef"),
+        ("formulas", "82f23ca7015ba1564e63747fbabea2acd560515b460860f2e7155930ad3856e9"),
+        ("dvir", "ab2d62afc8877fbea9f2f4eff368dd70d8d64c32e8daf4bb73b0e0bbe980d4f6"),
+    ],
+)
+def test_pair_and_formula_suites_print_pinned_bytes(capsys, monkeypatch, suite, digest):
+    # The sha256 of `verify --suite S --max-m 7 --jobs 2`, so a change to a
+    # suite's units or shards cannot change what it prints.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # no clamp to one shard
+    assert main(["verify", "--suite", suite, "--max-m", "7", "--jobs", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_formula_units_reach_every_two_row_triple(capsys, monkeypatch):
+    two_row = sum(sum(p.length <= 2 for p in cycle_types(m)) ** 3 for m in range(6))
+    assert two_row == 72
+    assert run_suite("formulas", 5)[0] == ("formula-2row", 72, [])
+    real = verify_mod.two_row_formula
+
+    def off_by_one(lam, mu, nu):
+        step = real(lam, mu, nu)
+        return step._replace(value=step.value + 1)
+
+    monkeypatch.setattr(verify_mod, "two_row_formula", off_by_one)
+    assert main(["verify", "--suite", "formulas", "--max-m", "5"]) == 1
+    assert "formula-2row: FAIL (72 instances)\n" in capsys.readouterr().out
