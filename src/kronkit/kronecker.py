@@ -2,15 +2,11 @@
 
 kron_coeff_direct is the ground truth the whole package leans on;
 kron_coeff is the fast path that sorts, peels rectangles, applies closed
-formulas, and falls back to the oracle.  Every reduction returns its own
-TraceStep, and kron_coeff adds each one to the trace as it is returned.
-Before the oracle it tries two forms of Dvir's bound (J. Algebra 154,
-1993): l(nu) <= |lam ∩ mu'| and nu_1 <= |lam ∩ mu| hold whenever
-k(lam, mu, nu) != 0.  A triple that breaks one ends in a "vanishing" step
-with no frame, whose intermediates name the form under "bound"
-("dvir-length" or "dvir-width") with the two sides as "size" > "limit".
-kron_coeff validates its input once and then calls the private _rectangle
-and _direct, which the public rectangle_reduce and kron_coeff_direct wrap.
+formulas and Dvir's bounds, and falls back to the oracle.  Every step
+before the oracle is made in reductions and states its own value;
+kron_coeff collects the steps and returns the first value.  It validates
+its input once and then calls the private _rectangle and _direct, which
+the public rectangle_reduce and kron_coeff_direct wrap.
 dvir_reduce, Dvir's boundary-length reduction, sits here beside the oracle
 it calls.
 
@@ -42,7 +38,7 @@ from .characters import _row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .lr import _skew
 from .partitions import Partition, _conjugate, _size_error, coerce_same_size, intersect
-from .reductions import ReductionTrace, TraceStep, _narrow, _rectangle, two_row_formula
+from .reductions import ReductionTrace, TraceStep, _dvir_bound, _narrow, _rectangle, two_row_formula
 
 __all__ = [
     "KroneckerExpansion",
@@ -222,33 +218,6 @@ def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     return tuple(sorted(coerce_same_size(lam, mu, nu), key=_role_key))
 
 
-def _dvir_bound(cur) -> TraceStep | None:
-    """The vanishing step by which Dvir's theorem (J. Algebra 154, 1993)
-    makes k(cur) zero, or None.
-
-    If k(lam, mu, nu) != 0 then l(nu) <= |lam ∩ mu'|; as k(lam, mu, nu) =
-    k(lam, mu', nu'), also nu_1 <= |lam ∩ mu|.  cur is canonical and not
-    empty.  The length form takes the longest partition, cur[0], as nu; the
-    width form takes the widest one (the first on a tie) as nu.
-    """
-    x, y, z = cur
-    limit = sum(map(min, y, _conjugate(z)))
-    if len(x) > limit:
-        bound = {"bound": "dvir-length", "size": len(x), "limit": limit}
-    else:
-        if x[0] >= y[0] and x[0] >= z[0]:
-            w, a, b = x, y, z
-        elif y[0] >= z[0]:
-            w, a, b = y, x, z
-        else:
-            w, a, b = z, x, y
-        limit = sum(map(min, a, b))
-        if w[0] <= limit:
-            return None
-        bound = {"bound": "dvir-width", "size": w[0], "limit": limit}
-    return TraceStep("vanishing", cur, cur, intermediates=bound, value=0)
-
-
 def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     """Boundary-length reduction through complementary skew characters.
 
@@ -277,31 +246,27 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     """Fast-path evaluation of the coefficient, with a step-by-step trace.
 
     Pipeline: canonical sort, then repeated rectangle peeling (each round
-    either proves the coefficient zero or strictly shrinks the triple),
-    then a closed formula when the remaining shape has one, then Dvir's
-    bounds, otherwise the direct class sum.  Always equals
+    proves the coefficient zero, proves it 1 by peeling a bare frame, or
+    strictly shrinks the triple), then a closed formula when the remaining
+    shape has one, then Dvir's bounds, otherwise the direct class sum.  The
+    value is that of the first step that has one.  Always equals
     kron_coeff_direct on the input, which is validated once, here.
     """
     cur = coerce_same_size(lam, mu, nu)
-    trace = ReductionTrace()
+    steps = []
     while True:
         ordered = tuple(sorted(cur, key=_role_key))
         if ordered != cur:
-            trace.add(TraceStep("canonical-sort", before=cur, after=ordered))
+            steps.append(TraceStep("canonical-sort", before=cur, after=ordered))
             cur = ordered
         step = _rectangle(cur)
         if step is None:
             break
-        trace.add(step)
-        if step.value == 0:
-            return 0, trace
+        steps.append(step)
+        if step.value is not None:
+            return step.value, ReductionTrace(steps)
         cur = step.after
     # cur is canonical here, so cur[0] is the longest partition.
-    if not cur[0] and trace.steps:
-        # The peeling cancelled everything; the empty triple has coefficient 1.
-        # It is sorted already, so the last step is the peel.
-        trace.steps[-1] = trace.steps[-1]._replace(value=1)
-        return 1, trace
     # four_two_two_formula never applies here.  It needs lengths (<=4, <=2,
     # <=2) with the longest partition first, so cur[0] has 3 or 4 rows.  A
     # 3-row cur[0] has lam3 > 0 = lam4, failing lam3 = lam4.  With 4 rows,
@@ -311,8 +276,6 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     if len(cur[0]) <= 2:
         step = two_row_formula(*cur)
     else:
-        step = _dvir_bound(cur)
-        if step is None:
-            step = TraceStep("direct", cur, cur, value=_direct(*cur))
-    trace.add(step)
-    return step.value, trace
+        step = _dvir_bound(cur) or TraceStep("direct", cur, cur, value=_direct(*cur))
+    steps.append(step)
+    return step.value, ReductionTrace(steps)

@@ -7,9 +7,17 @@ this module is checked against the direct character-sum oracle by the
 verification sweeps.
 
 Each reduction returns the TraceStep it certifies, which the dispatcher
-and the CLI add to a trace as it is: a step with value 0 proves the triple
-zero, a step with another value evaluates it, and a step with no value
-hands its after-triple on.
+and the CLI add to a trace as it is: a step with a value evaluates the
+triple (value 0 proves it zero), and a step with no value hands its
+after-triple on.  A peel that empties the triple has value 1, since
+stability applied to the empty triple gives k = 1 for a bare frame.
+
+Every step the dispatcher takes before the oracle is made here, the two
+forms of Dvir's bound (J. Algebra 154, 1993) among them: l(nu) <= |lam ∩
+mu'| and nu_1 <= |lam ∩ mu| hold whenever k(lam, mu, nu) != 0.  A triple
+that breaks one ends in a "vanishing" step with no frame, whose
+intermediates name the form under "bound" ("dvir-length" or
+"dvir-width") with the two sides as "size" > "limit".
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PartitionError, ShapeError
-from .partitions import Partition, coerce_same_size
+from .partitions import Partition, _conjugate, coerce_same_size
 
 __all__ = [
     "RectangleFrame",
@@ -120,19 +128,16 @@ class ReductionTrace:
 
     __slots__ = ("steps",)
 
-    def __init__(self, steps: list[TraceStep] | None = None):
-        self.steps = [] if steps is None else steps
+    def __init__(self, steps: list[TraceStep]):
+        self.steps = steps
 
     def __repr__(self) -> str:
         return f"ReductionTrace(steps={self.steps!r})"
 
-    def add(self, step: TraceStep) -> None:
-        self.steps.append(step)
-
     @property
     def method(self) -> str:
         """Tag of the step that produced the value."""
-        name = self.steps[-1].theorem if self.steps else "direct"
+        name = self.steps[-1].theorem
         return "reduced" if name == "rectangle-reduce" else name
 
     def to_obj(self) -> list[dict]:
@@ -173,8 +178,9 @@ def rectangle_reduce(lam, mu, nu) -> TraceStep | None:
     exact lengths satisfy p = q*r fires, with t the last part of the long
     partition.  The inequalities then decide between a "vanishing" step
     (value 0, after = before) and a "rectangle-reduce" step whose after is
-    the peeled triple; both carry the frame.  Returns None when no
-    assignment admits a frame.
+    the peeled triple; both carry the frame.  A peel whose after is empty
+    has value 1, as the bare frame's coefficient is 1; any other peel has
+    no value.  Returns None when no assignment admits a frame.
 
     Only the first assignment needs testing: p = q*r >= max(q, r) puts a
     longest partition in the long role, every longest one leaves the same
@@ -207,7 +213,35 @@ def _rectangle(triple: Triple) -> TraceStep | None:
     # Each part has exactly its frame length and a last part at least its
     # width, so peeling (t)^p, (rt)^q, (qt)^r needs no further check.
     reduced = _narrow(long, t), _narrow(qpart, r * t), _narrow(rpart, q * t)
-    return TraceStep("rectangle-reduce", triple, reduced, frame)
+    # long[0] == t peels a bare frame, whose coefficient is 1.
+    return TraceStep("rectangle-reduce", triple, reduced, frame, value=1 if long[0] == t else None)
+
+
+def _dvir_bound(cur: Triple) -> TraceStep | None:
+    """The vanishing step by which Dvir's theorem (J. Algebra 154, 1993)
+    makes k(cur) zero, or None.
+
+    If k(lam, mu, nu) != 0 then l(nu) <= |lam ∩ mu'|; as k(lam, mu, nu) =
+    k(lam, mu', nu'), also nu_1 <= |lam ∩ mu|.  cur is canonical and not
+    empty.  The length form takes the longest partition, cur[0], as nu; the
+    width form takes the widest one (the first on a tie) as nu.
+    """
+    x, y, z = cur
+    limit = sum(map(min, y, _conjugate(z)))
+    if len(x) > limit:
+        bound = {"bound": "dvir-length", "size": len(x), "limit": limit}
+    else:
+        if x[0] >= y[0] and x[0] >= z[0]:
+            w, a, b = x, y, z
+        elif y[0] >= z[0]:
+            w, a, b = y, x, z
+        else:
+            w, a, b = z, x, y
+        limit = sum(map(min, a, b))
+        if w[0] <= limit:
+            return None
+        bound = {"bound": "dvir-width", "size": w[0], "limit": limit}
+    return TraceStep("vanishing", cur, cur, intermediates=bound, value=0)
 
 
 def two_row_formula(lam, mu, nu) -> TraceStep:

@@ -111,7 +111,8 @@ def _check_reduction(triple):
     if step.value == 0:
         yield _oracle("reduction-zero", triple, 0, "claimed")
     else:
-        got, direct = _direct(step.after), _direct(triple)
+        got = _direct(step.after) if step.value is None else step.value
+        direct = _direct(triple)
         yield "reduction-preserve", got != direct and (
             f"{_fmt(*triple)} -> {_fmt(*step.after)} gave {got}, direct {direct}"
         )
@@ -133,7 +134,7 @@ def _check_formulas(triple):
         yield _oracle("formula-422", triple, value)
         if (lam.length, mu.length, nu.length) == (4, 2, 2):
             step = rectangle_reduce(*triple)
-            other = 0 if step.value == 0 else two_row_formula(*step.after).value
+            other = two_row_formula(*step.after).value if step.value is None else step.value
             yield "formula-consistency", other != value and (
                 f"{_fmt(*triple)} formula {value}, reduce-then-2row {other}"
             )

@@ -1,0 +1,75 @@
+"""Seeded defects that `kronkit verify --suite all --max-m 6` must catch.
+
+Each row is one edit to a copy of the package: (file, old text, new text,
+the properties whose FAIL lines it must cause).  The old text must occur
+exactly once in its file, so a refactor that moves or rewrites it breaks
+the row loudly rather than silently dropping the mutant.  A fast path
+added to the package should add a row here.  test_verify runs each row.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import kronkit
+
+PACKAGE = Path(kronkit.__file__).parent
+
+MUTANTS = [
+    # The peel that empties the triple answers 0, not the bare frame's 1.
+    (
+        "reductions.py",
+        "value=1 if long[0] == t",
+        "value=0 if long[0] == t",
+        ("reduction-zero", "formula-consistency"),
+    ),
+    # A frame whose q-part has a last row of exactly r*t wrongly vanishes.
+    (
+        "reductions.py",
+        "qpart[q - 1] < r * t",
+        "qpart[q - 1] <= r * t",
+        ("reduction-zero", "formula-consistency"),
+    ),
+    # The two-row formula's upper bound y off by one.
+    (
+        "reductions.py",
+        "y = ceil_half(nu2 + mu2 - lam2 + 1)",
+        "y = ceil_half(nu2 + mu2 - lam2 + 2)",
+        ("formula-2row", "formula-consistency"),
+    ),
+    # lr's filling walk places a value once more than its content allows.
+    (
+        "lr.py",
+        "counts[v] >= content[v - 1]",
+        "counts[v] > content[v - 1]",
+        ("dvir", "lr-pair-identity"),
+    ),
+]
+
+
+def run(file: str, old: str, new: str) -> subprocess.CompletedProcess:
+    """`kronkit verify --suite all --max-m 6` on a copy of the package with
+    old, which must occur exactly once, replaced by new in file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "kronkit", file)
+        shutil.copytree(PACKAGE, path.parent, ignore=shutil.ignore_patterns("__pycache__"))
+        source = path.read_text()
+        count = source.count(old)
+        if count != 1:
+            raise AssertionError(f"{file}: {old!r} occurs {count} times, not once")
+        path.write_text(source.replace(old, new))
+        return subprocess.run(
+            [sys.executable, "-m", "kronkit", "verify", "--suite", "all", "--max-m", "6"],
+            env=dict(os.environ, PYTHONPATH=tmp),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+
+def failed(proc: subprocess.CompletedProcess) -> set[str]:
+    """The properties with a FAIL line in a verify run's output."""
+    return {line.split(":")[0] for line in proc.stdout.splitlines() if ": FAIL (" in line}

@@ -290,7 +290,7 @@ class TestDerivedPartitions:
         step = rectangle_reduce(*big)
         for x in step.after:
             assert_checked(x)
-        if step.value is None:
+        if step.theorem == "rectangle-reduce":
             assert sorted(step.after) == peeled(step)
 
     def test_subtract_any_rectangle_it_covers(self):
@@ -300,7 +300,7 @@ class TestDerivedPartitions:
             parts = list(partitions_of(m))
             for triple in ((a, b, c) for a in parts for b in parts for c in parts):
                 step = rectangle_reduce(*triple)
-                if step is None or step.value is not None:
+                if step is None or step.theorem != "rectangle-reduce":
                     continue
                 peels += 1
                 for x in step.after:

@@ -18,6 +18,7 @@ from kronkit.errors import PartitionError
 from kronkit.partitions import Partition, cycle_types
 from kronkit.kronecker import kron_coeff_direct
 from kronkit.verify import run_suite
+from mutants import MUTANTS, failed, run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -318,6 +319,36 @@ def test_stability_sweep_inflates_through_reductions(monkeypatch):
     (res,) = run_suite("stability", 4)
     assert not res.ok
     assert res.failures[0].startswith("stability: ")
+
+
+def test_reduction_sweep_checks_the_value_a_step_states(monkeypatch):
+    # A full peel states its own value, which kron_coeff returns as it is;
+    # the sweep must check that number, not the oracle's value of the
+    # empty after-triple.
+    reduce = verify_mod.rectangle_reduce
+
+    def two(lam, mu, nu):
+        step = reduce(lam, mu, nu)
+        if step is not None and step.value == 1:
+            step = step._replace(value=2)
+        return step
+
+    monkeypatch.setattr(verify_mod, "rectangle_reduce", two)
+    zero, preserve = run_suite("reduction", 4)
+    assert zero.ok
+    assert not preserve.ok
+    assert "reduction-preserve: [1,1] [1,1] [2] -> [] [] [] gave 2, direct 1" in preserve.failures
+
+
+@pytest.mark.parametrize(
+    "file, old, new, want", MUTANTS, ids=[f"{row[0]}:{row[1]}" for row in MUTANTS]
+)
+def test_verify_all_fails_on_each_mutant(file, old, new, want):
+    # Each seeded defect must end `verify --suite all --max-m 6` in exit 1
+    # with a FAIL line for exactly the properties that its row names.
+    proc = run(file, old, new)
+    assert proc.returncode == 1, proc.stderr
+    assert failed(proc) == set(want), proc.stdout
 
 
 def test_stability_bytes_do_not_depend_on_jobs(capsys, monkeypatch):
