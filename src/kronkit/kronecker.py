@@ -21,9 +21,9 @@ rather than aliasing.  Only one nu of each conjugate pair has a field:
 chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
 classes and B over the odd ones, A + B holds the totals for nu and A - B
 those for nu'.  The memos here are _weighted and _pack(m), the packed
-columns of S_m; rows, conjugates and skew characters are read from the
-memos beside the functions that compute them, characters._row,
-partitions._conjugate and lr._skew.
+columns of S_m; rows, conjugates, cell masks and skew characters are read
+from the memos beside the functions that compute them, characters._row,
+partitions._conjugate, partitions._cells and lr._skew.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple
 from .characters import _row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .lr import _skew
-from .partitions import Partition, _conjugate, _size_error, coerce_same_size, intersect
+from .partitions import Partition, _cells, _conjugate, _size_error, coerce_same_size, intersect
 from .reductions import ReductionTrace, TraceStep, _dvir_bound, _narrow, _rectangle, two_row_formula
 
 __all__ = [
@@ -212,6 +212,14 @@ def _role_key(p: Partition):
     return (-len(p), p)
 
 
+def _in_role_order(triple: tuple[Partition, Partition, Partition]) -> bool:
+    """Whether sorting triple by _role_key leaves it as it is: the lengths
+    do not rise, and two partitions of one length are in lexicographic order."""
+    x, y, z = triple
+    a, b, c = len(x), len(y), len(z)
+    return (a > b or a == b and x <= y) and (b > c or b == c and y <= z)
+
+
 def canonical_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     """Sorted by length descending, then lexicographically; the order the
     reduction machinery expects (longest partition in the first slot)."""
@@ -228,9 +236,10 @@ def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     length condition fails.
     """
     triple = lam, mu, nu = coerce_same_size(lam, mu, nu)
-    cross = intersect(lam, _conjugate(mu))
-    if nu.length != cross.size:
+    # |lam ∩ mu'| by the cell masks, as the dispatcher's Dvir bound counts it.
+    if nu.length != (_cells(lam) & _cells(_conjugate(mu))).bit_count():
         return None
+    cross = intersect(lam, _conjugate(mu))
     rho = _narrow(nu, 1)
     left = _skew(lam, cross)
     right = _skew(mu, intersect(_conjugate(lam), mu))
@@ -255,8 +264,8 @@ def kron_coeff(lam, mu, nu) -> tuple[int, ReductionTrace]:
     cur = coerce_same_size(lam, mu, nu)
     steps = []
     while True:
-        ordered = tuple(sorted(cur, key=_role_key))
-        if ordered != cur:
+        if not _in_role_order(cur):
+            ordered = tuple(sorted(cur, key=_role_key))
             steps.append(TraceStep("canonical-sort", before=cur, after=ordered))
             cur = ordered
         step = _rectangle(cur)

@@ -145,6 +145,25 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple.__new__(Partition, cols)
 
 
+# Keyed on checked Partitions only, and capped, as _conjugate is.
+@lru_cache(maxsize=1024)
+def _cells(lam: Partition) -> int:
+    """The diagram of lam as an int: row i fills the bits from i*(|lam| + 1)
+    up to i*(|lam| + 1) + lam[i].
+
+    Two partitions of one size share the stride, so the bitwise and of
+    their masks has one bit per cell of both diagrams: |a ∩ b| is
+    (_cells(a) & _cells(b)).bit_count().  For partitions of different sizes
+    the rows do not line up and that count means nothing, so the caller
+    must pass partitions of one size, as those of a checked triple are.
+    """
+    stride = sum(lam) + 1
+    mask = 0
+    for i, a in enumerate(lam):
+        mask |= ((1 << a) - 1) << (i * stride)
+    return mask
+
+
 def intersect(lam: Iterable[int], mu: Iterable[int]) -> Partition:
     """Row-wise minimum: the intersection of the two diagrams."""
     lam, mu = Partition(lam), Partition(mu)

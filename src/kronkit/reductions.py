@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PartitionError, ShapeError
-from .partitions import Partition, _conjugate, coerce_same_size
+from .partitions import Partition, _cells, _conjugate, coerce_same_size
 
 __all__ = [
     "RectangleFrame",
@@ -224,10 +224,12 @@ def _dvir_bound(cur: Triple) -> TraceStep | None:
     If k(lam, mu, nu) != 0 then l(nu) <= |lam ∩ mu'|; as k(lam, mu, nu) =
     k(lam, mu', nu'), also nu_1 <= |lam ∩ mu|.  cur is canonical and not
     empty.  The length form takes the longest partition, cur[0], as nu; the
-    width form takes the widest one (the first on a tie) as nu.
+    width form takes the widest one (the first on a tie) as nu.  Each limit
+    is the popcount of two cell masks, which line up because the three
+    partitions have the same size, as a checked triple's do.
     """
     x, y, z = cur
-    limit = sum(map(min, y, _conjugate(z)))
+    limit = (_cells(y) & _cells(_conjugate(z))).bit_count()
     if len(x) > limit:
         bound = {"bound": "dvir-length", "size": len(x), "limit": limit}
     else:
@@ -237,7 +239,7 @@ def _dvir_bound(cur: Triple) -> TraceStep | None:
             w, a, b = y, x, z
         else:
             w, a, b = z, x, y
-        limit = sum(map(min, a, b))
+        limit = (_cells(a) & _cells(b)).bit_count()
         if w[0] <= limit:
             return None
         bound = {"bound": "dvir-width", "size": w[0], "limit": limit}

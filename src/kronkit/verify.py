@@ -41,7 +41,7 @@ from .errors import PartitionError
 from .characters import cycle_types as _parts  # all partitions of m, in reverse lex order
 from .kronecker import dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .lr import _decomp, lr_pair_count
-from .partitions import Partition, conjugate, format_partition, intersect
+from .partitions import Partition, _cells, _conjugate, format_partition
 from .reductions import RectangleFrame, _inflate, four_two_two_formula, rectangle_reduce
 from .reductions import two_row_formula
 
@@ -142,7 +142,7 @@ def _check_formulas(triple):
 
 def _check_dvir(pair):
     lam, mu = pair
-    rows = intersect(lam, conjugate(mu)).size
+    rows = (_cells(lam) & _cells(_conjugate(mu))).bit_count()
     for nu in _parts(lam.size):
         if nu.length == rows:
             yield _oracle("dvir", (lam, mu, nu), dvir_reduce(lam, mu, nu).value)

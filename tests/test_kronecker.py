@@ -24,7 +24,7 @@ from kronkit import (
     kron_expand,
     stability_inflate,
 )
-from kronkit.kronecker import _pack, _row, _weighted
+from kronkit.kronecker import _in_role_order, _pack, _role_key, _row, _weighted
 from kronkit.partitions import _conjugate, partitions_of
 from kronkit.reductions import RectangleFrame, _widen
 
@@ -288,6 +288,13 @@ class TestCanonicalTriple:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             canonical_triple((1,), (2,), (3,))
+
+    def test_in_role_order_agrees_with_the_sort(self):
+        # kron_coeff sorts a triple only when this check says it is out of order.
+        for m in range(7):
+            parts = list(partitions_of(m))
+            for t in ((a, b, c) for a in parts for b in parts for c in parts):
+                assert _in_role_order(t) == (tuple(sorted(t, key=_role_key)) == t), t
 
 
 class TestDispatcher:

@@ -11,6 +11,7 @@ from kronkit import characters, kronecker, lr, partitions, reductions, verify
 MEMOS = [
     partitions.cycle_types,
     partitions._conjugate,
+    partitions._cells,
     characters.class_weights,
     characters._counts,
     characters._row,

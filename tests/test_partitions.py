@@ -26,7 +26,7 @@ from kronkit import (
 )
 from kronkit.characters import _counts
 from kronkit.lr import _composition, _hstrips
-from kronkit.partitions import _partitions_between
+from kronkit.partitions import _cells, _partitions_between
 from kronkit.reductions import _narrow, _widen
 from oracles import (
     all_partitions,
@@ -193,6 +193,22 @@ class TestIntersect:
     @given(partitions_st())
     def test_idempotent(self, lam):
         assert intersect(lam, lam) == lam
+
+    def test_cell_mask_rows(self):
+        # |(2, 1)| = 3, so row i starts at bit 4i.
+        assert _cells(P(2, 1)) == 0b1_0011
+        assert _cells(P(3)) == 0b111
+        assert _cells(P()) == 0
+
+    def test_cell_mask_popcount_is_the_intersection_size(self):
+        # The Dvir bounds and dvir_reduce count |a ∩ b| and |a ∩ b'| this way.
+        for m in range(11):
+            parts = list(partitions_of(m))
+            for a in parts:
+                for b in parts:
+                    assert (_cells(a) & _cells(b)).bit_count() == intersect(a, b).size
+                    cross = (_cells(a) & _cells(conjugate(b))).bit_count()
+                    assert cross == intersect(a, conjugate(b)).size, (a, b)
 
 
 class TestRectangles:

@@ -341,12 +341,12 @@ def test_reduction_sweep_checks_the_value_a_step_states(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "file, old, new, want", MUTANTS, ids=[f"{row[0]}:{row[1]}" for row in MUTANTS]
+    "file, old, new, want, suite", MUTANTS, ids=[f"{row.file}:{row.old}" for row in MUTANTS]
 )
-def test_verify_all_fails_on_each_mutant(file, old, new, want):
-    # Each seeded defect must end `verify --suite all --max-m 6` in exit 1
+def test_verify_all_fails_on_each_mutant(file, old, new, want, suite):
+    # Each seeded defect must end `verify --suite <suite> --max-m 6` in exit 1
     # with a FAIL line for exactly the properties that its row names.
-    proc = run(file, old, new)
+    proc = run(file, old, new, suite)
     assert proc.returncode == 1, proc.stderr
     assert failed(proc) == set(want), proc.stdout
 
