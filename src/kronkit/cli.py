@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 size mismatch, 4 method not applicable, 5 table size cap exceeded.
+3 size mismatch, 4 method not applicable, 5 table size cap exceeded,
+6 internal inconsistency (a class sum that is not m! times a multiplicity).
 Results go to stdout only; diagnostics go to stderr.
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from . import verify as verify_mod
-from .errors import PartitionError, ShapeError, SizeMismatchError
+from .errors import ExactnessError, PartitionError, ShapeError, SizeMismatchError
 from .kronecker import _role_key, dvir_reduce, kron_coeff, kron_coeff_direct, kron_expand
 from .partitions import coerce_same_size, format_partition, parse_partition, partitions_of
 from .reductions import ReductionTrace, TraceStep, four_two_two_formula, two_row_formula
@@ -26,11 +27,17 @@ EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_METHOD = 4
 EXIT_CAP = 5
+EXIT_INCONSISTENT = 6
 
 DEFAULT_TABLE_CAP = 12
 
 # The exit code for each error main() reports.
-_EXIT_CODES = {PartitionError: EXIT_PARSE, SizeMismatchError: EXIT_SIZE, ShapeError: EXIT_METHOD}
+_EXIT_CODES = {
+    PartitionError: EXIT_PARSE,
+    SizeMismatchError: EXIT_SIZE,
+    ShapeError: EXIT_METHOD,
+    ExactnessError: EXIT_INCONSISTENT,
+}
 
 
 def _cmd_coeff(args) -> int:

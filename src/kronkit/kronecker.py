@@ -20,15 +20,21 @@ carry into its neighbour, so a wrong row still fails the division by m!
 rather than aliasing.  Only one nu of each conjugate pair has a field:
 chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
 classes and B over the odd ones, A + B holds the totals for nu and A - B
-those for nu'.  The memos here are _weighted and _pack(m), the packed
-columns of S_m; rows, conjugates, cell masks and skew characters are read
-from the memos beside the functions that compute them, characters._row,
-partitions._conjugate, partitions._cells and lr._skew.
+those for nu'.  Each column is written by one struct call, each entry
+offset by f into the narrowest unsigned code that holds 2f.  Each of A + B
+and A - B is divided by m! once, not each field, and the quotient is read
+by one struct call; kron_expand's docstring gives the uniqueness argument
+that makes the quotient's fields the multiplicities.  The memos here are
+_weighted and _pack(m), the packed columns of S_m; rows, conjugates, cell
+masks and skew characters are read from the memos beside the functions
+that compute them, characters._row, partitions._conjugate,
+partitions._cells and lr._skew.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul
@@ -75,8 +81,9 @@ def _weighted(lam: Partition) -> tuple[int, ...]:
 
 
 def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
-    # total / m!, the one division of every class sum.  what() names the
-    # inputs for the ExactnessError that a remainder or a value < 0 raises.
+    # total / m!, the division of every class sum that kron_expand does not
+    # take packed.  what() names the inputs for the ExactnessError that a
+    # remainder or a value < 0 raises.
     value, rem = divmod(total, math.factorial(m))
     if rem or value < 0:
         raise ExactnessError(f"{what()} gave {total}/{m}!")
@@ -160,12 +167,17 @@ def _pack(m: int) -> _Packed:
     f = max(max(max(row), -min(row)) for row in rows)
     width = ((math.factorial(m) * f**3).bit_length() + 2 + 7) // 8
     offset = f * _ones(width, len(pairs))
+    # Offset by f, an entry lies in [0, 2f].  The narrowest code that holds
+    # 2f fits in a field: a field has at least 3 * bits(f) bits.
+    code = next((c for c in "BHIQ" if 2 * f < 1 << 8 * struct.calcsize("<" + c)), None)
+    if code:
+        pad = width - struct.calcsize("<" + code)
+        pack = struct.Struct("<" + f"{code}{pad}x" * len(pairs)).pack
+    else:  # 2f over 8 bytes: a patched row, or m >= 36 (S_35's largest degree has 63 bits)
+        def pack(*column):
+            return b"".join(map(int.to_bytes, column, repeat(width), repeat("little")))
     columns = [
-        int.from_bytes(
-            b"".join(map(int.to_bytes, map(add, column, repeat(f)), repeat(width), repeat("little"))),
-            "little",
-        )
-        - offset
+        int.from_bytes(pack(*map(add, column, repeat(f))), "little") - offset
         for column in zip(*rows)
     ]
     odd = tuple(cycle_sign(rho) < 0 for rho in types)
@@ -187,25 +199,72 @@ def _dot(values, columns) -> int:
     return sum(map(mul, filter(None, values), compress(columns, values)))
 
 
+def _quotient_fields(packed: _Packed, total: int, factorial: int) -> tuple[int, ...] | None:
+    """The fields of total / m!, or None unless the division is exact and
+    every field v has 0 <= v and m! * v < 2**(8 * width - 1).
+
+    The quotient q is read unsigned, by one struct call with the widest
+    code no wider than a field, so it also returns None when a field is
+    too wide for that code (2**64 or more for a field of 8 bytes or more),
+    as the bits of q above each code then are not all 0."""
+    width, count = packed.width, len(packed.pairs)
+    code = next(c for c in "QIHB" if struct.calcsize("<" + c) <= width)
+    size = struct.calcsize("<" + code)
+    high = int.from_bytes((bytes(size) + b"\xff" * (width - size)) * count, "little")
+    q, rem = divmod(total, factorial)
+    if rem or q < 0 or q & high:
+        return None
+    # Each field of q is now below 2**(8 * size), so it is read as it is.
+    data = q.to_bytes(width * count, "little")
+    fields = struct.unpack("<" + f"{code}{width - size}x" * count, data)
+    if max(fields) * factorial >= 1 << (8 * width - 1):
+        return None
+    return fields
+
+
 def kron_expand(lam, mu) -> KroneckerExpansion:
     """Full expansion of chi^lam (x) chi^mu over all partitions of m, by
-    packed class sums (see the module docstring)."""
+    packed class sums (see the module docstring).
+
+    Each packed sum S, A + B or A - B, is divided by m! once.  Every field
+    total t of S has |t| <= m! * f**3 < 2**(8 * width - 2), so the balanced
+    fields of S, each in [-2**(8 * width - 1), 2**(8 * width - 1)), are the
+    totals.  If S = m! * q and every balanced field v of q has
+    0 <= m! * v < 2**(8 * width - 1), then the fields m! * v of m! * q are
+    also a balanced representation of S.  That representation is unique,
+    so every total is m! * v, and v is its multiplicity.  Conversely, if
+    every total is m! times a multiplicity, q has those multiplicities as
+    its fields and passes the test, unless one is too wide for the struct
+    read of q (see _quotient_fields).  A multiplicity is at most the
+    table's largest degree f, so in a genuine table that needs f >= 2**64,
+    which first holds at m = 36.  When the test fails, each total is
+    divided on its own: that gives such a wide multiplicity, and a total
+    that is not m! times a multiplicity raises ExactnessError naming the
+    first such nu.
+    """
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
     packed = _pack(m)
     tensor = [w * x * y for w, x, y in zip(class_weights(m), _row(lam), _row(mu))]
-    even = packed.fields(_dot(compress(tensor, packed.even), packed.even_columns))
-    odd = packed.fields(_dot(compress(tensor, packed.odd), packed.odd_columns))
-    totals = [0] * len(tensor)
-    for (i, j), a, b in zip(packed.pairs, even, odd):
-        totals[j] = a - b
-        totals[i] = a + b  # after nu', so a self-conjugate nu takes its own sum
-    out: dict[Partition, int] = {}
-    for nu, total in zip(cycle_types(m), totals):
-        value = _coefficient(total, m, lambda: f"expansion of ({lam!r}, {mu!r}) at {nu!r}")
-        if value:
-            out[nu] = value
-    return KroneckerExpansion(m, out)
+    even = _dot(compress(tensor, packed.even), packed.even_columns)
+    odd = _dot(compress(tensor, packed.odd), packed.odd_columns)
+    factorial = math.factorial(m)
+    sums = even + odd, even - odd
+    fields = [_quotient_fields(packed, s, factorial) for s in sums]
+    exact = None not in fields
+    if not exact:
+        fields = [packed.fields(s) for s in sums]
+    values = [0] * len(tensor)
+    for (i, j), plus, minus in zip(packed.pairs, *fields):
+        values[j] = minus
+        values[i] = plus  # after nu', so a self-conjugate nu takes its own sum
+    types = cycle_types(m)
+    if not exact:
+        values = [
+            _coefficient(total, m, lambda: f"expansion of ({lam!r}, {mu!r}) at {nu!r}")
+            for nu, total in zip(types, values)
+        ]
+    return KroneckerExpansion(m, {nu: value for nu, value in zip(types, values) if value})
 
 
 def _role_key(p: Partition):

@@ -73,6 +73,13 @@ MUTANTS = [
     ),
     # Every row of a cell mask one cell short, so both Dvir limits shrink.
     Mutant("partitions.py", "(1 << a) - 1", "(1 << a) - 2", ("dispatch",), "dispatch"),
+    # kron_expand reads the quotient of nu into nu' and that of nu' into nu.
+    Mutant(
+        "kronecker.py",
+        "for (i, j), plus, minus in zip(packed.pairs, *fields)",
+        "for (j, i), plus, minus in zip(packed.pairs, *fields)",
+        ("lr-pair-identity", "lr-dominates-kron"),
+    ),
 ]
 
 

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+import kronkit.kronecker as kronecker
 import kronkit.verify as verify_mod
 from kronkit.cli import main
 from kronkit.kronecker import kron_coeff_direct
@@ -131,6 +133,17 @@ class TestCoeff:
         assert code == 3
         assert err
 
+    def test_inconsistent_class_sum_exits_6(self, capsys, monkeypatch):
+        # Over S_2 a patched row (1, 0) leaves the class sum 1/2!, which no
+        # input can cause: an internal inconsistency, not a failed check.
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: (1, 0))
+        fresh = lru_cache(maxsize=None)(kronecker._weighted.__wrapped__)
+        monkeypatch.setattr("kronkit.kronecker._weighted", fresh)
+        code, out, err = run(capsys, "coeff", "2", "1,1", "2", "--method=direct")
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: class sum for ")
+
     def test_auto_equals_direct_sweep(self, capsys):
         for m in range(8):
             texts = [format_partition(p) for p in partitions_of(m)]
@@ -185,6 +198,13 @@ class TestExpand:
     def test_size_mismatch(self, capsys):
         code, _, _ = run(capsys, "expand", "2,1", "4")
         assert code == 3
+
+    def test_degree_twenty_is_pinned(self, capsys):
+        # sha256 of the stdout of `kronkit expand 6,5,4,3,2 7,5,4,2,2`.
+        code, out, _ = run(capsys, "expand", "6,5,4,3,2", "7,5,4,2,2")
+        assert code == 0
+        digest = "e69c582d73a66954dd53f17c63f26b64c640c7363282d6e7cff99f8cd7e6b006"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTable:

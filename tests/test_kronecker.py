@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import re
 from collections import Counter
 from functools import lru_cache
@@ -8,6 +9,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kronkit.kronecker as kronecker
 from kronkit import (
     ExactnessError,
     Partition,
@@ -17,6 +19,7 @@ from kronkit import (
     character_row,
     class_weights,
     conjugate,
+    cycle_types,
     dimension,
     intersect,
     kron_coeff,
@@ -203,6 +206,102 @@ class TestExactnessGuard:
         message = f"expansion of {pair!r} at Partition((3,)) gave {total}/3!"
         with pytest.raises(ExactnessError, match=re.escape(message)):
             kron_expand(*pair)
+
+
+class TestPackedDivision:
+    # kron_expand divides each packed sum by 3! once.  Over S_3 (classes (3),
+    # (2, 1), (1, 1, 1) of sizes 2, 3, 1) with lam = mu = (1, 1, 1), the
+    # tensor is (2, 3, 1), so a row r of a nu with a field gives the total
+    # 2 r0 + 3 r1 + r2.  Rows of f = 1 keep the fields 1 byte wide, and as
+    # 256 = 4 (mod 6), A + B = t(3) + 256 t(2,1) can divide by 3! while a
+    # total does not.  One row patched for every nu makes the two totals
+    # equal, so it cannot do that: 5 t = 0 (mod 6) only when 6 divides t.
+    @pytest.mark.parametrize(
+        "rows, nu",
+        [
+            # t(3) = 6, t(2,1) = 3: A + B = 6 * 129, whose lowest field is -127.
+            ({(3,): (1, 1, 1), (2, 1): (0, 1, 0)}, (2, 1)),
+            # t(3) = 2, t(2,1) = 1: A + B = 6 * 43, a field 3! times past 127.
+            ({(3,): (1, 0, 0), (2, 1): (0, 0, 1)}, (3,)),
+        ],
+    )
+    def test_exact_division_of_the_sum_still_names_the_bad_total(self, monkeypatch, rows, nu):
+        totals = {key: sum(map(operator.mul, (2, 3, 1), row)) for key, row in rows.items()}
+        assert (totals[(3,)] + 256 * totals[(2, 1)]) % 6 == 0
+        assert totals[nu] % 6
+        rows = {**rows, (1, 1, 1): (1, -1, 1)}
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: rows[lam])
+        _fresh_memos(monkeypatch)
+        assert kronecker._pack(3).width == 1
+        pair = (Partition((1, 1, 1)), Partition((1, 1, 1)))
+        message = f"expansion of {pair!r} at {Partition(nu)!r} gave {totals[nu]}/3!"
+        with pytest.raises(ExactnessError, match=re.escape(message)):
+            kron_expand(*pair)
+
+
+    def test_remainder_names_the_bad_total(self, monkeypatch):
+        # t(3) = 7 and t(2,1) = 6; with the signs, t(1,1,1) = 1 and 6.  Each
+        # packed sum leaves a remainder, though its floor quotient, fields
+        # (1, 1) and (0, 1), would pass every other test.
+        rows = {(3,): (2, 1, 0), (2, 1): (3, 0, 0), (1, 1, 1): (1, -1, 1)}
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: rows[lam])
+        _fresh_memos(monkeypatch)
+        pair = (Partition((1, 1, 1)), Partition((1, 1, 1)))
+        message = f"expansion of {pair!r} at Partition((3,)) gave 7/3!"
+        with pytest.raises(ExactnessError, match=re.escape(message)):
+            kron_expand(*pair)
+
+    def test_multiplicity_too_wide_for_the_struct_read(self, monkeypatch):
+        # Over S_2 (classes (2), (1, 1) of size 1), every row patched to r
+        # gives the totals r1**3 + r0**3 at nu = (2) and, with the sign of
+        # each class, r1**3 - r0**3 at (1, 1).  Both are 2! times a value of
+        # 2**64 or more, with bits in the ninth byte of a 9-byte field, so the
+        # 8-byte read of each field is refused, and each total is divided on
+        # its own.
+        row = (2**21, 2**22)
+        monkeypatch.setattr("kronkit.kronecker._row", lambda lam: row)
+        _fresh_memos(monkeypatch)
+        assert kronecker._pack(2).width == 9
+        expansion = kron_expand((2,), (2,))
+        assert dict(expansion.items()) == {
+            Partition((2,)): (2**66 + 2**63) // 2,
+            Partition((1, 1)): (2**66 - 2**63) // 2,
+        }
+
+
+def test_expansion_divided_field_by_field_is_the_oracle(monkeypatch):
+    # A multiplicity too wide for the struct read of a quotient sends
+    # kron_expand to divide each total on its own.  No m the tests reach has
+    # one, so every packed division is refused here.
+    monkeypatch.setattr("kronkit.kronecker._quotient_fields", lambda *args: None)
+    for m in range(7):
+        parts = list(partitions_of(m))
+        for lam in parts:
+            for mu in parts:
+                expansion = kron_expand(lam, mu)
+                for nu in parts:
+                    assert expansion[nu] == kron_coeff_direct(lam, mu, nu)
+
+
+def test_packed_columns_equal_shift_and_add():
+    # Field k of column rho is chi^nu(rho) for the k-th nu with a field.  The
+    # entries up to m = 14 need each of the 1, 2 and 4 byte struct codes.
+    sizes = set()
+    for m in range(15):
+        packed = _pack(m)
+        types = cycle_types(m)
+        rows = [_row(types[i]) for i, _ in packed.pairs]
+        f = max(abs(x) for row in rows for x in row)
+        sizes.add(next(s for s in (1, 2, 4, 8) if 2 * f < 1 << 8 * s))
+        columns = [
+            sum(row[c] << 8 * packed.width * k for k, row in enumerate(rows))
+            for c in range(len(types))
+        ]
+        evens = [col for col, even in zip(columns, packed.even) if even]
+        odds = [col for col, even in zip(columns, packed.even) if not even]
+        assert packed.even_columns == tuple(evens)
+        assert packed.odd_columns == tuple(odds)
+    assert sizes == {1, 2, 4}
 
 
 def test_result_reprs():
