@@ -16,15 +16,17 @@ int P_rho with a fixed-width field per nu, so that sum_rho t_rho * P_rho,
 for t = w * chi^lam * chi^mu, holds every class sum in its own field.  A
 field is B bytes, B*8 >= bits(m! * f**3) + 2 for f the table's largest
 |entry|; as the class sizes sum to m!, no total of any integer table can
-carry into its neighbour, so a wrong row still fails the division by m!
-rather than aliasing.  Only one nu of each conjugate pair has a field:
-chi^{nu'}(rho) = sgn(rho) chi^nu(rho), so with A the sum over the even
-classes and B over the odd ones, A + B holds the totals for nu and A - B
-those for nu'.  Each column is written by one struct call, each entry
-offset by f into the narrowest unsigned code that holds 2f.  Each of A + B
-and A - B is divided by m! once, not each field, and the quotient is read
-by one struct call; kron_expand's docstring gives the uniqueness argument
-that makes the quotient's fields the multiplicities.  The memos here are
+carry into its neighbour, so a wrong row cannot alias a right one.  Only
+one nu of each conjugate pair has a field: chi^{nu'}(rho) = sgn(rho)
+chi^nu(rho), so with A the sum over the even classes and B over the odd
+ones, A + B holds the totals for nu and A - B those for nu'.  Each column
+is written by one struct call, each entry offset by f into the narrowest
+unsigned code that holds 2f.  Each of A + B and A - B is divided by m!
+once, and the quotient is read by one more struct call; kron_expand's
+docstring gives the uniqueness argument that makes the quotient's fields
+the multiplicities.  There is one fallback: when no code holds 2f, or a
+read is refused, every nu is a class sum of the oracle's, so a wrong row
+raises the oracle's own ExactnessError.  The memos here are
 _weighted and _pack(m), the packed columns of S_m; rows, conjugates, cell
 masks and skew characters are read from the memos beside the functions
 that compute them, characters._row, partitions._conjugate,
@@ -67,8 +69,12 @@ def kron_coeff_direct(lam, mu, nu) -> int:
 
 def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
     """kron_coeff_direct on partitions coerce_same_size has already checked."""
+    m = sum(lam)
     total = sum(map(mul, _weighted(lam), map(mul, _row(mu), _row(nu))))
-    return _coefficient(total, sum(lam), lambda: f"class sum for ({lam!r}, {mu!r}, {nu!r})")
+    value, rem = divmod(total, math.factorial(m))
+    if rem or value < 0:
+        raise ExactnessError(f"class sum for ({lam!r}, {mu!r}, {nu!r}) gave {total}/{m}!")
+    return value
 
 
 # The rows of the class sum's first slot times the class sizes.  Keys are
@@ -78,16 +84,6 @@ def _direct(lam: Partition, mu: Partition, nu: Partition) -> int:
 @lru_cache(maxsize=256)
 def _weighted(lam: Partition) -> tuple[int, ...]:
     return tuple(map(mul, class_weights(sum(lam)), _row(lam)))
-
-
-def _coefficient(total: int, m: int, what: Callable[[], str]) -> int:
-    # total / m!, the division of every class sum that kron_expand does not
-    # take packed.  what() names the inputs for the ExactnessError that a
-    # remainder or a value < 0 raises.
-    value, rem = divmod(total, math.factorial(m))
-    if rem or value < 0:
-        raise ExactnessError(f"{what()} gave {total}/{m}!")
-    return value
 
 
 class KroneckerExpansion:
@@ -121,7 +117,9 @@ class _Packed(NamedTuple):
 
     pairs[k] holds the places in cycle_types(m) of the k-th nu with a field
     and of its conjugate nu', which follows nu or is nu.  Field k of a
-    column is chi^nu(rho), width bytes wide, lowest field first.
+    column is chi^nu(rho), width bytes wide, lowest field first.  unpack
+    reads the low bytes of every field of a quotient with one struct code,
+    and high masks the bytes of each field above that code.
     """
 
     width: int
@@ -130,29 +128,23 @@ class _Packed(NamedTuple):
     odd: tuple[bool, ...]
     even_columns: tuple[int, ...]
     odd_columns: tuple[int, ...]
-
-    def fields(self, total: int) -> list[int]:
-        """The signed fields of a sum of columns, lowest first.  The bias
-        makes every field nonnegative, so none borrows from the next."""
-        width = self.width
-        bias = 1 << (8 * width - 1)
-        data = (total + bias * _ones(width, len(self.pairs))).to_bytes(
-            width * len(self.pairs), "little"
-        )
-        return [
-            int.from_bytes(data[i : i + width], "little") - bias
-            for i in range(0, len(data), width)
-        ]
+    high: int
+    unpack: Callable[[bytes], tuple[int, ...]]
 
 
-def _ones(width: int, count: int) -> int:
-    """The int with a 1 in the lowest byte of each of count width-byte fields."""
-    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+def _fields(code: str, width: int, count: int) -> struct.Struct:
+    """count little-endian fields of width bytes, each a code padded with x."""
+    pad = width - struct.calcsize("<" + code)
+    return struct.Struct("<" + f"{code}{pad}x" * count)
 
 
 @lru_cache(maxsize=None)
-def _pack(m: int) -> _Packed:
-    """The rows of one nu of each conjugate pair, packed column by column."""
+def _pack(m: int) -> _Packed | None:
+    """The rows of one nu of each conjugate pair, packed column by column,
+    or None when no struct code holds an entry offset by f, the table's
+    largest |entry|: a patched row, or m >= 36, as the largest degree of
+    S_35 has 63 bits.  kron_expand then takes every nu from the oracle.
+    """
     types = cycle_types(m)
     place = {rho: i for i, rho in enumerate(types)}
     pairs = []
@@ -162,24 +154,25 @@ def _pack(m: int) -> _Packed:
             pairs.append((i, j))
     rows = [_row(types[i]) for i, _ in pairs]
     # As the class sizes sum to m!, a field of A or of B is at most m! * f**3
-    # in size.  Its bias in fields(), 2**(8 * width - 1), needs one bit more;
-    # the second bit is spare.
+    # in size; the width leaves two bits more (see kron_expand).
     f = max(max(max(row), -min(row)) for row in rows)
     width = ((math.factorial(m) * f**3).bit_length() + 2 + 7) // 8
-    offset = f * _ones(width, len(pairs))
     # Offset by f, an entry lies in [0, 2f].  The narrowest code that holds
     # 2f fits in a field: a field has at least 3 * bits(f) bits.
     code = next((c for c in "BHIQ" if 2 * f < 1 << 8 * struct.calcsize("<" + c)), None)
-    if code:
-        pad = width - struct.calcsize("<" + code)
-        pack = struct.Struct("<" + f"{code}{pad}x" * len(pairs)).pack
-    else:  # 2f over 8 bytes: a patched row, or m >= 36 (S_35's largest degree has 63 bits)
-        def pack(*column):
-            return b"".join(map(int.to_bytes, column, repeat(width), repeat("little")))
+    if code is None:
+        return None
+    count = len(pairs)
+    pack = _fields(code, width, count).pack
+    offset = int.from_bytes(pack(*repeat(f, count)), "little")
     columns = [
         int.from_bytes(pack(*map(add, column, repeat(f))), "little") - offset
         for column in zip(*rows)
     ]
+    # A quotient is read with the widest code no wider than a field.
+    read = next(c for c in "QIHB" if struct.calcsize("<" + c) <= width)
+    size = struct.calcsize("<" + read)
+    high = int.from_bytes((bytes(size) + b"\xff" * (width - size)) * count, "little")
     odd = tuple(cycle_sign(rho) < 0 for rho in types)
     even = tuple(not x for x in odd)
     return _Packed(
@@ -189,6 +182,8 @@ def _pack(m: int) -> _Packed:
         odd,
         tuple(compress(columns, even)),
         tuple(compress(columns, odd)),
+        high,
+        _fields(read, width, count).unpack,
     )
 
 
@@ -203,28 +198,41 @@ def _quotient_fields(packed: _Packed, total: int, factorial: int) -> tuple[int, 
     """The fields of total / m!, or None unless the division is exact and
     every field v has 0 <= v and m! * v < 2**(8 * width - 1).
 
-    The quotient q is read unsigned, by one struct call with the widest
-    code no wider than a field, so it also returns None when a field is
-    too wide for that code (2**64 or more for a field of 8 bytes or more),
-    as the bits of q above each code then are not all 0."""
-    width, count = packed.width, len(packed.pairs)
-    code = next(c for c in "QIHB" if struct.calcsize("<" + c) <= width)
-    size = struct.calcsize("<" + code)
-    high = int.from_bytes((bytes(size) + b"\xff" * (width - size)) * count, "little")
+    The quotient q is read unsigned, by packed.unpack, so it also returns
+    None when a field is too wide for that read (2**64 or more for a field
+    of 8 bytes or more), as the bits of q under packed.high then are not
+    all 0."""
     q, rem = divmod(total, factorial)
-    if rem or q < 0 or q & high:
+    if rem or q < 0 or q & packed.high:
         return None
-    # Each field of q is now below 2**(8 * size), so it is read as it is.
-    data = q.to_bytes(width * count, "little")
-    fields = struct.unpack("<" + f"{code}{width - size}x" * count, data)
-    if max(fields) * factorial >= 1 << (8 * width - 1):
+    # Each field of q is now below the read's code, so it is read as it is.
+    fields = packed.unpack(q.to_bytes(packed.width * len(packed.pairs), "little"))
+    if max(fields) * factorial >= 1 << (8 * packed.width - 1):
         return None
     return fields
 
 
+def _packed_values(packed: _Packed, lam: Partition, mu: Partition) -> list[int] | None:
+    """Every multiplicity in cycle_types order from the two packed sums, or
+    None when _quotient_fields refuses either of them."""
+    m = sum(lam)
+    tensor = [w * x * y for w, x, y in zip(class_weights(m), _row(lam), _row(mu))]
+    even = _dot(compress(tensor, packed.even), packed.even_columns)
+    odd = _dot(compress(tensor, packed.odd), packed.odd_columns)
+    factorial = math.factorial(m)
+    fields = [_quotient_fields(packed, s, factorial) for s in (even + odd, even - odd)]
+    if None in fields:
+        return None
+    values = [0] * len(tensor)
+    for (i, j), plus, minus in zip(packed.pairs, *fields):
+        values[j] = minus
+        values[i] = plus  # after nu', so a self-conjugate nu takes its own sum
+    return values
+
+
 def kron_expand(lam, mu) -> KroneckerExpansion:
     """Full expansion of chi^lam (x) chi^mu over all partitions of m, by
-    packed class sums (see the module docstring).
+    packed class sums (see the module docstring), or by the oracle.
 
     Each packed sum S, A + B or A - B, is divided by m! once.  Every field
     total t of S has |t| <= m! * f**3 < 2**(8 * width - 2), so the balanced
@@ -235,35 +243,21 @@ def kron_expand(lam, mu) -> KroneckerExpansion:
     so every total is m! * v, and v is its multiplicity.  Conversely, if
     every total is m! times a multiplicity, q has those multiplicities as
     its fields and passes the test, unless one is too wide for the struct
-    read of q (see _quotient_fields).  A multiplicity is at most the
-    table's largest degree f, so in a genuine table that needs f >= 2**64,
-    which first holds at m = 36.  When the test fails, each total is
-    divided on its own: that gives such a wide multiplicity, and a total
-    that is not m! times a multiplicity raises ExactnessError naming the
-    first such nu.
+    read of q (see _quotient_fields).  A multiplicity g has g**3 at most
+    the product of the three degrees, so g <= f; and _pack(m) is None
+    unless 2f < 2**64.  So in a genuine table no read is refused.  When
+    _pack(m) is None or a read is refused, every nu is taken by _direct, one
+    class sum each, in cycle_types order: a total that is not m! times a
+    multiplicity then raises the oracle's ExactnessError for the first such
+    nu.
     """
     lam, mu = coerce_same_size(lam, mu)
     m = sum(lam)
-    packed = _pack(m)
-    tensor = [w * x * y for w, x, y in zip(class_weights(m), _row(lam), _row(mu))]
-    even = _dot(compress(tensor, packed.even), packed.even_columns)
-    odd = _dot(compress(tensor, packed.odd), packed.odd_columns)
-    factorial = math.factorial(m)
-    sums = even + odd, even - odd
-    fields = [_quotient_fields(packed, s, factorial) for s in sums]
-    exact = None not in fields
-    if not exact:
-        fields = [packed.fields(s) for s in sums]
-    values = [0] * len(tensor)
-    for (i, j), plus, minus in zip(packed.pairs, *fields):
-        values[j] = minus
-        values[i] = plus  # after nu', so a self-conjugate nu takes its own sum
     types = cycle_types(m)
-    if not exact:
-        values = [
-            _coefficient(total, m, lambda: f"expansion of ({lam!r}, {mu!r}) at {nu!r}")
-            for nu, total in zip(types, values)
-        ]
+    packed = _pack(m)
+    values = None if packed is None else _packed_values(packed, lam, mu)
+    if values is None:
+        values = [_direct(lam, mu, nu) for nu in types]
     return KroneckerExpansion(m, {nu: value for nu, value in zip(types, values) if value})
 
 

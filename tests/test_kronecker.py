@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import random
 import re
 from collections import Counter
 from functools import lru_cache
@@ -180,17 +181,18 @@ class TestExactnessGuard:
         # earlier, and the class sum must read them, not rows memoised earlier.
         _fresh_memos(monkeypatch)
         triple = (Partition((2,)), Partition((1, 1)), Partition((2,)))
-        with pytest.raises(ExactnessError, match=re.escape(f"class sum for {triple!r} gave")):
+        message = re.escape(f"class sum for {triple!r} gave")
+        with pytest.raises(ExactnessError, match=message):
             kron_coeff_direct(*triple)
-        pair = "(Partition((2,)), Partition((1, 1))) at Partition((2,))"
-        with pytest.raises(ExactnessError, match=re.escape(f"expansion of {pair} gave")):
+        with pytest.raises(ExactnessError, match=message):
             kron_expand(*triple[:2])
 
 
     # Over S_3 (classes (3), (2, 1), (1, 1, 1) of sizes 2, 3, 1), every row
     # patched to r gives the class sum 2 r0^3 + 3 r1^3 + r2^3 at nu = (3).
-    # Entries this far above any character of S_3 must widen the packed
-    # fields, so that this exact total, and no neighbour's, reaches the guard.
+    # Offset by their largest |entry|, these rows need more than 8 bytes, so
+    # no struct code packs them: _pack(3) is None, and kron_expand takes
+    # every nu from the oracle, whose guard must see this exact total.
     @pytest.mark.parametrize(
         "row", [(2**200, 0, 0), (5**90, -(5**90), 7), (-(3**150), 1, 3**150 + 1)]
     )
@@ -199,13 +201,13 @@ class TestExactnessGuard:
         _fresh_memos(monkeypatch)
         total = 2 * row[0] ** 3 + 3 * row[1] ** 3 + row[2] ** 3
         assert total % 6 or total < 0
-        pair = (Partition((2, 1)), Partition((1, 1, 1)))
-        with pytest.raises(ExactnessError) as direct:
-            kron_coeff_direct(*pair, (3,))
-        assert str(direct.value).endswith(f" gave {total}/3!")
-        message = f"expansion of {pair!r} at Partition((3,)) gave {total}/3!"
-        with pytest.raises(ExactnessError, match=re.escape(message)):
-            kron_expand(*pair)
+        triple = (Partition((2, 1)), Partition((1, 1, 1)), Partition((3,)))
+        message = re.escape(f"class sum for {triple!r} gave {total}/3!")
+        with pytest.raises(ExactnessError, match=message):
+            kron_coeff_direct(*triple)
+        assert kronecker._pack(3) is None
+        with pytest.raises(ExactnessError, match=message):
+            kron_expand(*triple[:2])
 
 
 class TestPackedDivision:
@@ -234,7 +236,7 @@ class TestPackedDivision:
         _fresh_memos(monkeypatch)
         assert kronecker._pack(3).width == 1
         pair = (Partition((1, 1, 1)), Partition((1, 1, 1)))
-        message = f"expansion of {pair!r} at {Partition(nu)!r} gave {totals[nu]}/3!"
+        message = f"class sum for {(*pair, Partition(nu))!r} gave {totals[nu]}/3!"
         with pytest.raises(ExactnessError, match=re.escape(message)):
             kron_expand(*pair)
 
@@ -247,32 +249,30 @@ class TestPackedDivision:
         monkeypatch.setattr("kronkit.kronecker._row", lambda lam: rows[lam])
         _fresh_memos(monkeypatch)
         pair = (Partition((1, 1, 1)), Partition((1, 1, 1)))
-        message = f"expansion of {pair!r} at Partition((3,)) gave 7/3!"
+        message = f"class sum for {(*pair, Partition((3,)))!r} gave 7/3!"
         with pytest.raises(ExactnessError, match=re.escape(message)):
             kron_expand(*pair)
 
     def test_multiplicity_too_wide_for_the_struct_read(self, monkeypatch):
         # Over S_2 (classes (2), (1, 1) of size 1), every row patched to r
-        # gives the totals r1**3 + r0**3 at nu = (2) and, with the sign of
-        # each class, r1**3 - r0**3 at (1, 1).  Both are 2! times a value of
-        # 2**64 or more, with bits in the ninth byte of a 9-byte field, so the
-        # 8-byte read of each field is refused, and each total is divided on
-        # its own.
+        # gives the packed total r0**3 + r1**3 at nu = (2), 2! times a value
+        # of 2**64 or more, with bits in the ninth byte of a 9-byte field.  So
+        # the 8-byte read of A + B is refused, and every nu is taken from the
+        # oracle, which reads the patched row of (1, 1) itself rather than
+        # the sign-twisted row of (2) the packed A - B would use.
         row = (2**21, 2**22)
         monkeypatch.setattr("kronkit.kronecker._row", lambda lam: row)
         _fresh_memos(monkeypatch)
         assert kronecker._pack(2).width == 9
         expansion = kron_expand((2,), (2,))
-        assert dict(expansion.items()) == {
-            Partition((2,)): (2**66 + 2**63) // 2,
-            Partition((1, 1)): (2**66 - 2**63) // 2,
-        }
+        for nu in partitions_of(2):
+            assert expansion[nu] == kron_coeff_direct((2,), (2,), nu) == (2**66 + 2**63) // 2
 
 
-def test_expansion_divided_field_by_field_is_the_oracle(monkeypatch):
-    # A multiplicity too wide for the struct read of a quotient sends
-    # kron_expand to divide each total on its own.  No m the tests reach has
-    # one, so every packed division is refused here.
+def test_refused_reads_fall_back_to_the_oracle(monkeypatch):
+    # A refused packed read sends kron_expand to the oracle for every nu.  A
+    # genuine table never has one (see kron_expand), so every read is refused
+    # here.
     monkeypatch.setattr("kronkit.kronecker._quotient_fields", lambda *args: None)
     for m in range(7):
         parts = list(partitions_of(m))
@@ -281,6 +281,29 @@ def test_expansion_divided_field_by_field_is_the_oracle(monkeypatch):
                 expansion = kron_expand(lam, mu)
                 for nu in parts:
                     assert expansion[nu] == kron_coeff_direct(lam, mu, nu)
+
+
+def test_genuine_tables_never_reach_the_oracle(monkeypatch):
+    # Every packed read of a genuine table passes (see kron_expand), so an
+    # expansion that calls _direct has refused a read.  Its values would
+    # still be right, at p(m) class sums a pair, and no sweep would notice.
+    def refuse(*triple):
+        raise AssertionError(f"kron_expand fell back to the oracle at {triple!r}")
+
+    monkeypatch.setattr("kronkit.kronecker._direct", refuse)
+    for m in range(9):
+        parts = list(partitions_of(m))
+        for lam in parts:
+            for mu in parts:
+                kron_expand(lam, mu)
+    # A few pairs at m = 18, each checked by the degrees: sum_nu g * f^nu
+    # equals f^lam * f^mu.
+    parts = list(partitions_of(18))
+    rng = random.Random(18)
+    for _ in range(4):
+        lam, mu = rng.choice(parts), rng.choice(parts)
+        total = sum(k * dimension(nu) for nu, k in kron_expand(lam, mu).items())
+        assert total == dimension(lam) * dimension(mu)
 
 
 def test_packed_columns_equal_shift_and_add():
@@ -486,21 +509,42 @@ class TestDispatcher:
 
 
 @lru_cache(maxsize=None)
+def final_steps(m):
+    """(triple, the method that names it, the step that gave its value) for
+    each canonical triple of m, with a vanishing step's method split by its
+    cause: "frame", or the Dvir bound that fired."""
+    out = []
+    for triple in combinations_with_replacement(partitions_of(m), 3):
+        trace = kron_coeff(*triple)[1]
+        step = trace.steps[-1]
+        method = trace.method
+        if method == "vanishing":
+            method = "frame" if step.frame is not None else step.intermediates["bound"]
+        out.append((triple, method, step))
+    return out
+
+
 def dvir_fires(m):
     """(triple, step) for each canonical triple of m that a Dvir bound ends."""
-    fires = []
-    for triple in combinations_with_replacement(partitions_of(m), 3):
-        step = kron_coeff(*triple)[1].steps[-1]
-        if "bound" in (step.intermediates or {}):
-            fires.append((triple, step))
-    return fires
+    return [(t, step) for t, method, step in final_steps(m) if method.startswith("dvir-")]
 
 
 class TestDvirBounds:
-    # (dvir-length, dvir-width) fires over the canonical triples of each m.
+    # How each canonical triple of m ends, in the columns of METHODS.  A fast
+    # path that stops firing sends its triples to "direct", where every value
+    # stays right; only these counts change.
+    METHODS = ("direct", "formula-2row", "reduced", "frame", "dvir-length", "dvir-width")
     FIRES = {
-        0: (0, 0), 1: (0, 0), 2: (0, 0), 3: (4, 0), 4: (13, 0),
-        5: (37, 1), 6: (111, 8), 7: (267, 22), 8: (717, 95), 9: (1640, 263),
+        0: (0, 1, 0, 0, 0, 0),
+        1: (0, 0, 1, 0, 0, 0),
+        2: (0, 2, 2, 0, 0, 0),
+        3: (1, 2, 3, 0, 4, 0),
+        4: (7, 6, 6, 3, 13, 0),
+        5: (28, 7, 8, 3, 37, 1),
+        6: (115, 18, 15, 19, 111, 8),
+        7: (325, 20, 19, 27, 267, 22),
+        8: (1037, 45, 33, 97, 717, 95),
+        9: (2788, 49, 43, 177, 1640, 263),
     }
 
     @pytest.mark.parametrize("m", sorted(FIRES))
@@ -513,9 +557,9 @@ class TestDvirBounds:
 
     @pytest.mark.parametrize("m", sorted(FIRES))
     def test_fire_counts_are_pinned(self, m):
-        counts = Counter(step.intermediates["bound"] for _, step in dvir_fires(m))
-        assert (counts["dvir-length"], counts["dvir-width"]) == self.FIRES[m]
-        assert set(counts) <= {"dvir-length", "dvir-width"}
+        counts = Counter(method for _, method, _ in final_steps(m))
+        assert tuple(counts[method] for method in self.METHODS) == self.FIRES[m]
+        assert set(counts) <= set(self.METHODS)
 
     def test_length_form_before_width_form(self):
         # Both forms hold on ((1, 1, 1), (3), (3)): l = 3 > |(3) ∩ (3)'| = 1
