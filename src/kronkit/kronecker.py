@@ -20,17 +20,16 @@ carry into its neighbour, so a wrong row cannot alias a right one.  Only
 one nu of each conjugate pair has a field: chi^{nu'}(rho) = sgn(rho)
 chi^nu(rho), so with A the sum over the even classes and B over the odd
 ones, A + B holds the totals for nu and A - B those for nu'.  Each column
-is written by one struct call, each entry offset by f into the narrowest
-unsigned code that holds 2f.  Each of A + B and A - B is divided by m!
-once, and the quotient is read by one more struct call; kron_expand's
+is written by one struct call, each entry offset by f into the widest
+unsigned code no wider than a field.  Each of A + B and A - B is divided
+by m! once, and the quotient is read with the same code; kron_expand's
 docstring gives the uniqueness argument that makes the quotient's fields
-the multiplicities.  There is one fallback: when no code holds 2f, or a
-read is refused, every nu is a class sum of the oracle's, so a wrong row
-raises the oracle's own ExactnessError.  The memos here are
-_weighted and _pack(m), the packed columns of S_m; rows, conjugates, cell
-masks and skew characters are read from the memos beside the functions
-that compute them, characters._row, partitions._conjugate,
-partitions._cells and lr._skew.
+the multiplicities.  There is one fallback: when that code does not hold
+2f, or a read is refused, every nu is a class sum of the oracle's, so a
+wrong row raises the oracle's own ExactnessError.  The memos here are
+_weighted and _pack(m), the packed columns of S_m; rows, conjugates and
+skew characters are read from the memos beside the functions that
+compute them, characters._row, partitions._conjugate and lr._skew.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Callable, Mapping, NamedTuple
 from .characters import _row, class_weights, cycle_sign, cycle_types
 from .errors import ExactnessError
 from .lr import _skew
-from .partitions import Partition, _cells, _conjugate, _size_error, coerce_same_size, intersect
+from .partitions import Partition, _conjugate, _size_error, coerce_same_size, intersect
 from .reductions import ReductionTrace, TraceStep, _dvir_bound, _narrow, _rectangle, two_row_formula
 
 __all__ = [
@@ -118,8 +117,9 @@ class _Packed(NamedTuple):
     pairs[k] holds the places in cycle_types(m) of the k-th nu with a field
     and of its conjugate nu', which follows nu or is nu.  Field k of a
     column is chi^nu(rho), width bytes wide, lowest field first.  unpack
-    reads the low bytes of every field of a quotient with one struct code,
-    and high masks the bytes of each field above that code.
+    reads the low bytes of every field of a quotient with the struct code
+    the columns were packed with, and high masks the bytes of each field
+    above that code.
     """
 
     width: int
@@ -157,21 +157,21 @@ def _pack(m: int) -> _Packed | None:
     # in size; the width leaves two bits more (see kron_expand).
     f = max(max(max(row), -min(row)) for row in rows)
     width = ((math.factorial(m) * f**3).bit_length() + 2 + 7) // 8
-    # Offset by f, an entry lies in [0, 2f].  The narrowest code that holds
-    # 2f fits in a field: a field has at least 3 * bits(f) bits.
-    code = next((c for c in "BHIQ" if 2 * f < 1 << 8 * struct.calcsize("<" + c)), None)
-    if code is None:
+    # Offset by f, an entry lies in [0, 2f].  One code packs and reads: the
+    # widest no wider than a field.  Under 16 bytes it has over half of the
+    # field's 3 * bits(f) + 2 or more bits, so it holds 2f; from 16 up, Q.
+    code = next(c for c in "QIHB" if struct.calcsize("<" + c) <= width)
+    size = struct.calcsize("<" + code)
+    if 2 * f >> 8 * size:
         return None
     count = len(pairs)
-    pack = _fields(code, width, count).pack
+    fields = _fields(code, width, count)
+    pack = fields.pack
     offset = int.from_bytes(pack(*repeat(f, count)), "little")
     columns = [
         int.from_bytes(pack(*map(add, column, repeat(f))), "little") - offset
         for column in zip(*rows)
     ]
-    # A quotient is read with the widest code no wider than a field.
-    read = next(c for c in "QIHB" if struct.calcsize("<" + c) <= width)
-    size = struct.calcsize("<" + read)
     high = int.from_bytes((bytes(size) + b"\xff" * (width - size)) * count, "little")
     odd = tuple(cycle_sign(rho) < 0 for rho in types)
     even = tuple(not x for x in odd)
@@ -183,7 +183,7 @@ def _pack(m: int) -> _Packed | None:
         tuple(compress(columns, even)),
         tuple(compress(columns, odd)),
         high,
-        _fields(read, width, count).unpack,
+        fields.unpack,
     )
 
 
@@ -289,13 +289,12 @@ def dvir_reduce(lam, mu, nu) -> TraceStep | None:
     length condition fails.
     """
     triple = lam, mu, nu = coerce_same_size(lam, mu, nu)
-    # |lam ∩ mu'| by the cell masks, as the dispatcher's Dvir bound counts it.
-    if nu.length != (_cells(lam) & _cells(_conjugate(mu))).bit_count():
-        return None
     cross = intersect(lam, _conjugate(mu))
+    if nu.length != cross.size:
+        return None
     rho = _narrow(nu, 1)
     left = _skew(lam, cross)
-    right = _skew(mu, intersect(_conjugate(lam), mu))
+    right = _skew(mu, _conjugate(cross))  # (lam ∩ mu')' = lam' ∩ mu
     # l(nu) = |lam ∩ mu'| = |lam' ∩ mu|, so sigma, tau and rho all have m - l(nu) cells.
     total = 0
     for sigma, c1 in left:

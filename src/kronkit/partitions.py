@@ -145,7 +145,8 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple.__new__(Partition, cols)
 
 
-# Keyed on checked Partitions only, and capped, as _conjugate is.
+# Keyed on checked Partitions only, and capped, as _conjugate is.  The one
+# reader is the dispatcher's Dvir bounds, reductions._dvir_bound.
 @lru_cache(maxsize=1024)
 def _cells(lam: Partition) -> int:
     """The diagram of lam as an int: row i fills the bits from i*(|lam| + 1)

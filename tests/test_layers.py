@@ -9,6 +9,10 @@ layer to code it should not know about, so every relative import counts.
 A cold `kronkit coeff` pays for every module `import kronkit.cli` loads.
 The records are tuples, so nothing imports dataclasses, and only a verify
 run with a process pool loads concurrent.futures and multiprocessing.
+
+The cell masks of partitions._cells have one reader, the dispatcher's Dvir
+bounds in reductions; dvir_reduce and the dvir sweep, which check them,
+count from intersect instead.
 """
 
 import ast
@@ -149,3 +153,29 @@ def test_import_loads_no_pool_and_no_dataclasses(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def names(tree, name):
+    """The lines that name name: a definition or an import (.name), a
+    variable (.id) or an attribute (.attr)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+    )
+
+
+def test_only_partitions_and_reductions_name_cells():
+    found = [path.stem for path in SRC if names(ast.parse(path.read_text(), str(path)), "_cells")]
+    assert found == ["partitions", "reductions"]
+
+
+def test_catches_names():
+    source = '''
+from .partitions import _cells, _conjugate
+import kronkit.partitions as p
+
+def _cells(lam):
+    return p._cells(lam) | _cells(lam)
+'''
+    assert names(ast.parse(source), "_cells") == [2, 5, 6, 6]

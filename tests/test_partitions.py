@@ -201,7 +201,8 @@ class TestIntersect:
         assert _cells(P()) == 0
 
     def test_cell_mask_popcount_is_the_intersection_size(self):
-        # The Dvir bounds and dvir_reduce count |a ∩ b| and |a ∩ b'| this way.
+        # The Dvir bounds count |a ∩ b| and |a ∩ b'| this way; dvir_reduce
+        # takes a' ∩ b as the conjugate of a ∩ b'.
         for m in range(11):
             parts = list(partitions_of(m))
             for a in parts:
@@ -209,6 +210,8 @@ class TestIntersect:
                     assert (_cells(a) & _cells(b)).bit_count() == intersect(a, b).size
                     cross = (_cells(a) & _cells(conjugate(b))).bit_count()
                     assert cross == intersect(a, conjugate(b)).size, (a, b)
+                    got = conjugate(intersect(a, conjugate(b)))
+                    assert got == intersect(conjugate(a), b), (a, b)
 
 
 class TestRectangles:
