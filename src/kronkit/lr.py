@@ -4,6 +4,10 @@ The counting here is deliberate brute force: backtracking over cells and
 loops over chains of shapes rather than bijective or polytope methods.  At
 desk scale that is fast enough, and it keeps every number auditable.
 
+A skew shape's LR coefficients come from one walk over its LR fillings,
+each tallied under its content: lr_coeff, skew_character, dvir_reduce and
+the chain tables below all read that one table, _skew.
+
 The LR pair count of (lam, mu; pi) is the dot product of two tables, one
 per shape, of {contents: weighted chains of shapes}.  A table is built once
 per shape and sorted pi, by one walk down from the shape that takes the
@@ -20,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import PartitionError, ShapeError, SizeMismatchError
 from .partitions import Partition, SkewShape, _partitions_between, _size_error
-from .partitions import coerce_same_size, cycle_types, partitions_of
+from .partitions import coerce_same_size, cycle_types
 
 __all__ = [
     "lr_coeff",
@@ -35,7 +39,10 @@ def lr_coeff(shape: SkewShape, content: Iterable[int]) -> int:
     """Number of Littlewood-Richardson tableaux of the given shape and content.
 
     For shape lam/delta, a SkewShape, this is the coefficient of chi^content
-    in the skew character, i.e. c^lam_{delta,content}.
+    in the skew character, i.e. c^lam_{delta,content}.  It is read from the
+    shape's whole table (_skew): a cold call pays for every content of the
+    shape, and later calls on that shape are lookups.  No caller in kronkit
+    asks for one content alone.
     """
     if not isinstance(shape, SkewShape):
         raise ShapeError(f"shape must be a SkewShape, got {shape!r}")
@@ -44,52 +51,7 @@ def lr_coeff(shape: SkewShape, content: Iterable[int]) -> int:
         raise SizeMismatchError(
             f"shape has {shape.size} cells but content {content!r} has {content.size}"
         )
-    return _lr(tuple(shape.outer), tuple(shape.inner), tuple(content))
-
-
-@lru_cache(maxsize=None)
-def _lr(outer: tuple[int, ...], inner: tuple[int, ...], content: tuple[int, ...]) -> int:
-    # Backtracking over cells row by row, right to left inside each row.
-    # That traversal IS the reverse reading word, so the lattice condition
-    # can prune on every prefix: value v is placeable only while its count
-    # stays below the count of v-1.  So the values placed are 1..used, and
-    # no value above used + 1 is tried.  Cell idx holds 0 until it gets a value.
-    rows = len(outer)
-    pad_inner = inner + (0,) * (rows - len(inner))
-    cells = [(i, j) for i in range(rows) for j in range(outer[i] - 1, pad_inner[i] - 1, -1)]
-    if not cells:
-        return 1
-    nvals = len(content)
-    grid = [[0] * outer[i] for i in range(rows)]
-    counts = [0] * (nvals + 1)
-    total, idx, end, used = 0, 0, len(cells), 0
-    while idx >= 0:
-        if idx == end:
-            total += 1
-            idx -= 1
-            continue
-        i, j = cells[idx]
-        v = grid[i][j]
-        if v:
-            counts[v] -= 1
-            if not counts[v]:
-                used -= 1
-        elif i > 0 and j >= pad_inner[i - 1]:
-            v = grid[i - 1][j]
-        top = min(grid[i][j + 1] if j + 1 < outer[i] else nvals, used + 1)
-        v += 1
-        while v <= top and (counts[v] >= content[v - 1] or v > 1 and counts[v] >= counts[v - 1]):
-            v += 1
-        if v <= top:
-            if not counts[v]:
-                used += 1
-            counts[v] += 1
-            grid[i][j] = v
-            idx += 1
-        else:
-            grid[i][j] = 0
-            idx -= 1
-    return total
+    return dict(_skew(shape.outer, shape.inner)).get(content, 0)
 
 
 def skew_character(shape: SkewShape) -> dict[Partition, int]:
@@ -103,16 +65,54 @@ def skew_character(shape: SkewShape) -> dict[Partition, int]:
     return dict(_skew(shape.outer, shape.inner))
 
 
-@lru_cache(maxsize=256)
-def _skew(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The items of skew_character(SkewShape(outer, inner)), for checked
-    Partitions with inner inside outer; dvir_reduce reads them once per nu."""
-    out = []
-    for tau in partitions_of(outer.size - inner.size):
-        c = _lr(outer, inner, tau)
-        if c:
-            out.append((tau, c))
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _skew(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    """The items of skew_character(SkewShape(outer, inner)), for partitions
+    inner inside outer, in reverse lex order: one walk over every LR filling
+    of the shape, each tallied under its content.  So a table costs the same
+    whichever of its contents a caller wants, and it is kept whole."""
+    # Backtracking over cells row by row, right to left inside each row.
+    # That traversal IS the reverse reading word, so the lattice condition
+    # can prune on every prefix: value v is placeable only while its count
+    # stays below the count of v-1.  So the values placed are 1..used, no
+    # value above used + 1 is tried, and the counts of 1..used are the
+    # filling's content, a partition.  Cell idx holds 0 until it gets a value.
+    rows = len(outer)
+    pad_inner = inner + (0,) * (rows - len(inner))
+    cells = [(i, j) for i in range(rows) for j in range(outer[i] - 1, pad_inner[i] - 1, -1)]
+    grid = [[0] * outer[i] for i in range(rows)]
+    counts = [0] * (rows + 1)
+    tally = {}
+    idx, end, used = 0, len(cells), 0
+    while idx >= 0:
+        if idx == end:
+            content = tuple(counts[1 : used + 1])
+            tally[content] = tally.get(content, 0) + 1
+            idx -= 1
+            continue
+        i, j = cells[idx]
+        v = grid[i][j]
+        if v:
+            counts[v] -= 1
+            if not counts[v]:
+                used -= 1
+        elif i > 0 and j >= pad_inner[i - 1]:
+            v = grid[i - 1][j]
+        top = min(grid[i][j + 1] if j + 1 < outer[i] else rows, used + 1)
+        v += 1
+        while v <= top and v > 1 and counts[v] >= counts[v - 1]:
+            v += 1
+        if v <= top:
+            if not counts[v]:
+                used += 1
+            counts[v] += 1
+            grid[i][j] = v
+            idx += 1
+        else:
+            grid[i][j] = 0
+            idx -= 1
+    # Each content is a partition, by the lattice condition.
+    return tuple((tuple.__new__(Partition, tau), tally[tau]) for tau in sorted(tally, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +128,9 @@ def _chains(lam: tuple[int, ...], sizes: tuple[int, ...]) -> dict[tuple, int]:
     # Walk the chains down from lam, one content at a time from the last,
     # keeping {shape: weighted number of chains from lam down to it}.  The
     # contents tuples that share a suffix share its layer, so the walk is a
-    # depth-first search over suffixes, on a stack.
+    # depth-first search over suffixes, on a stack.  A step groups the
+    # tables of its skew layers shape/prev by content, and pushes those in
+    # cycle_types(k) order, so only contents that have a filling are visited.
     if not sizes:
         return {} if lam else {(): 1}
     table = {}
@@ -142,19 +144,15 @@ def _chains(lam: tuple[int, ...], sizes: tuple[int, ...]) -> dict[tuple, int]:
                 if sum(shape) == k:
                     table[(shape, *suffix)] = count
             continue
-        steps = [
-            (shape, count, tuple(_partitions_between(sum(shape) - k, (0,) * len(shape), shape)))
-            for shape, count in layer.items()
-        ]
+        below = {}
+        for shape, count in layer.items():
+            for prev in _partitions_between(sum(shape) - k, (0,) * len(shape), shape):
+                for content, c in _skew(shape, prev):
+                    step = below.setdefault(content, {})
+                    step[prev] = step.get(prev, 0) + count * c
         for content in cycle_types(k):
-            below = {}
-            for shape, count, prevs in steps:
-                for prev in prevs:
-                    c = _lr(shape, prev, content)
-                    if c:
-                        below[prev] = below.get(prev, 0) + count * c
-            if below:
-                stack.append((i - 1, (content, *suffix), below))
+            if content in below:
+                stack.append((i - 1, (content, *suffix), below[content]))
     return table
 
 

@@ -51,12 +51,20 @@ MUTANTS = [
         "y = ceil_half(nu2 + mu2 - lam2 + 2)",
         ("formula-2row", "formula-consistency"),
     ),
-    # lr's filling walk places a value once more than its content allows.
+    # lr's filling walk lets a value's count catch up with the one below it,
+    # so the reverse reading word may break the lattice condition.
     Mutant(
         "lr.py",
-        "counts[v] >= content[v - 1]",
-        "counts[v] > content[v - 1]",
-        ("dvir", "lr-pair-identity"),
+        "counts[v] >= counts[v - 1]",
+        "counts[v] > counts[v - 1]",
+        ("dvir",),
+    ),
+    # lr's tally files each filling under its content with a zero part added.
+    Mutant(
+        "lr.py",
+        "counts[1 : used + 1]",
+        "counts[1 : used + 2]",
+        ("lr-pair-identity", "lr-dominates-kron"),
     ),
     # Only kron_coeff reaches the Dvir bounds, and only the dispatch suite
     # sweeps kron_coeff.  The length bound fires on a tie.

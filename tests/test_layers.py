@@ -13,6 +13,9 @@ run with a process pool loads concurrent.futures and multiprocessing.
 The cell masks of partitions._cells have one reader, the dispatcher's Dvir
 bounds in reductions; dvir_reduce and the dvir sweep, which check them,
 count from intersect instead.
+
+No module imports a name it never reads, and lr builds each skew character
+by one walk, which lr_coeff then reads rather than walking again.
 """
 
 import ast
@@ -22,6 +25,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kronkit import SkewShape, lr, lr_coeff, skew_character
+from kronkit.partitions import partitions_of
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kronkit"
 SRC = sorted(PACKAGE.glob("*.py"))
@@ -179,3 +185,55 @@ def _cells(lam):
     return p._cells(lam) | _cells(lam)
 '''
     assert names(ast.parse(source), "_cells") == [2, 5, 6, 6]
+
+
+def unused_imports(tree):
+    """(line, name) for each name an import binds that the module never reads
+    as a variable and that a literal __all__ does not list.  A star import
+    binds no name of its own."""
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend((node.lineno, a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((node.lineno, a.asname or a.name) for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in [
+            getattr(t, "id", None) for t in node.targets
+        ]:
+            elts = getattr(node.value, "elts", ())
+            read.update(e.value for e in elts if isinstance(e, ast.Constant))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_catches_unused_imports():
+    source = '''
+from __future__ import annotations
+import os.path, sys as system
+from .partitions import Partition, cycle_types as types, partitions_of
+from .lr import *
+from .lr import skew_character
+
+__all__ = ["skew_character"]
+
+def f(lam: Partition) -> int:
+    return len(types(os.sep))
+'''
+    assert unused_imports(ast.parse(source)) == [(3, "system"), (4, "partitions_of")]
+
+
+def test_lr_coeff_reads_the_skew_table():
+    # Once skew_character has walked a shape, lr_coeff of each content of
+    # its size is a lookup in that table: no _skew miss, so no second walk.
+    shape = SkewShape((6, 5, 3, 3, 1), (3, 2, 2))
+    table = skew_character(shape)
+    misses = lr._skew.cache_info().misses
+    for tau in partitions_of(shape.size):
+        assert lr_coeff(shape, tau) == table.get(tau, 0)
+    assert lr._skew.cache_info().misses == misses

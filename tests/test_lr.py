@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
 
@@ -22,10 +23,11 @@ from kronkit import (
     lr_coeff,
     lr_pair_count,
     perm_character_decomp,
+    skew_character,
 )
 from kronkit.lr import _chains
 from kronkit.partitions import partitions_of
-from oracles import brute_lr_count, brute_ssyt_count, brute_subshapes
+from oracles import all_partitions, brute_lr_count, brute_ssyt_count, brute_subshapes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,6 +70,50 @@ class TestLrCoeff:
                             assert lr_coeff(shape, content) == brute_lr_count(
                                 tuple(outer), tuple(inner), tuple(content)
                             )
+
+
+@lru_cache(maxsize=None)
+def standard_fillings(outer, inner):
+    """Standard fillings of outer/inner, inner padded to outer's length, as
+    saturated chains from inner up to outer: one corner cell at a time."""
+    if outer == inner:
+        return 1
+    return sum(
+        standard_fillings(outer[:i] + (a - 1,) + outer[i + 1 :], inner)
+        for i, a in enumerate(outer)
+        if a > inner[i] and (i + 1 == len(outer) or outer[i + 1] < a)
+    )
+
+
+def degree(table):
+    """sum c * f^tau over a {tau: c} table."""
+    return sum(c * standard_fillings(tau, (0,) * len(tau)) for tau, c in table.items())
+
+
+class TestSkewCharacter:
+    def test_every_table_has_the_degree_of_its_shape(self):
+        # The skew character's degree is the number of standard fillings of
+        # the shape, so each whole table must satisfy sum c * f^tau = f^(lam/mu).
+        # Its keys are partitions of |lam/mu|, and lr_coeff reads the same
+        # table, one content at a time.
+        for n in range(11):
+            for outer in all_partitions(n):
+                for k in range(n + 1):
+                    for inner in brute_subshapes(outer, k):
+                        shape = SkewShape(outer, inner)
+                        table = skew_character(shape)
+                        padded = inner + (0,) * (len(outer) - len(inner))
+                        assert degree(table) == standard_fillings(outer, padded), shape
+                        assert set(table) <= set(all_partitions(n - k)), shape
+                        for tau in all_partitions(n - k):
+                            assert lr_coeff(shape, tau) == table.get(tau, 0), (shape, tau)
+
+    def test_staircase_table(self):
+        outer, inner = (8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1, 0, 0, 0, 0)
+        table = skew_character(SkewShape(outer, inner))
+        assert (len(table), sum(table.values()), max(table.values())) == (338, 9133, 120)
+        assert list(table) == sorted(table, reverse=True)
+        assert degree(table) == standard_fillings(outer, inner)
 
 
 def _multi(lam, contents):

@@ -16,7 +16,6 @@ MEMOS = [
     characters._counts,
     characters._row,
     reductions._widen,
-    lr._lr,
     lr._skew,
     lr._chains,
     lr._decomp,
